@@ -33,20 +33,9 @@ bool Engine::RunOne() {
   heap_.pop_back();
   now_ = ev.t;
   ++dispatched_;
-  dispatching_seq_ = ev.seq;
   if (ev.warp->queued_wake() == ev.t) ev.warp->clear_queued_wake();
   ev.warp->Turn(ev.t);
   return true;
-}
-
-void Engine::CollectPending(std::uint64_t bound,
-                            std::vector<Event>& out) const {
-  for (const Event& ev : heap_) {
-    if (ev.t < bound) out.push_back(ev);
-  }
-  std::sort(out.begin(), out.end(), [](const Event& a, const Event& b) {
-    return a.t != b.t ? a.t < b.t : a.seq < b.seq;
-  });
 }
 
 }  // namespace dgc::sim

@@ -40,11 +40,22 @@ class LogMessage {
   LogLevel level_;
   std::ostringstream stream_;
 };
+
+/// Turns the streamed LogMessage into void so DGC_LOG can be the false arm
+/// of a conditional expression. `&` binds looser than `<<`, so the whole
+/// stream chain is its right operand.
+struct LogVoidify {
+  void operator&(const LogMessage&) const {}
+};
 }  // namespace detail
 
-#define DGC_LOG(level)                                            \
-  if (::dgc::LogLevel::level < ::dgc::GetLogLevel()) {            \
-  } else                                                          \
-    ::dgc::detail::LogMessage(::dgc::LogLevel::level)
+/// DGC_LOG(kInfo) << ...; is one expression statement, safe under an
+/// unbraced `if`/`else`. The stream operands are not evaluated when the
+/// level is filtered out.
+#define DGC_LOG(level)                                   \
+  (::dgc::LogLevel::level < ::dgc::GetLogLevel())        \
+      ? (void)0                                          \
+      : ::dgc::detail::LogVoidify() &                    \
+            ::dgc::detail::LogMessage(::dgc::LogLevel::level)
 
 }  // namespace dgc

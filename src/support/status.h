@@ -49,6 +49,13 @@ class [[nodiscard]] Status {
   std::string message_;
 };
 
+namespace detail {
+/// What StatusOr::status() returns when it holds a value. Namespace scope
+/// rather than a function-local static: the local's init guard made GCC 12
+/// report a false -Wmaybe-uninitialized in every caller's ~StatusOr.
+inline const Status kOkStatus;
+}  // namespace detail
+
 /// Either a value or a Status error. A minimal `expected`-style type.
 template <typename T>
 class [[nodiscard]] StatusOr {
@@ -64,8 +71,7 @@ class [[nodiscard]] StatusOr {
   bool ok() const { return std::holds_alternative<T>(rep_); }
 
   const Status& status() const {
-    static const Status kOk;
-    return ok() ? kOk : std::get<Status>(rep_);
+    return ok() ? detail::kOkStatus : std::get<Status>(rep_);
   }
 
   T& value() & { return std::get<T>(rep_); }

@@ -111,7 +111,9 @@ TEST_F(ExperimentTest, ProgressEventsCoverEveryPoint) {
     last_finished = e.points_finished;
     max_total = std::max(max_total, e.points_total);
     if (e.kind == SweepPointEvent::Kind::kFinished) {
-      if (e.ran) EXPECT_GE(e.wall_seconds, 0.0);
+      if (e.ran) {
+        EXPECT_GE(e.wall_seconds, 0.0);
+      }
     }
   };
   auto series = MeasureSpeedup(SmallConfig(), options);

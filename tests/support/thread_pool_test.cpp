@@ -80,8 +80,8 @@ TEST(ThreadPool, FirstIndexExceptionPropagatesAfterAllJobsFinish) {
   jobs.push_back([] { throw std::logic_error("job 2 failed"); });
   jobs.push_back([&] { ++completed; });
   try {
-    pool.RunAll(std::move(jobs));
-    FAIL() << "expected an exception";
+    const Status status = pool.RunAll(std::move(jobs));
+    FAIL() << "expected an exception, got " << status.ToString();
   } catch (const std::runtime_error& e) {
     // The smallest-index throwing job wins, not whichever finished first.
     EXPECT_STREQ(e.what(), "job 1 failed");
