@@ -8,7 +8,6 @@
 
 #include "apps/common.h"
 #include "dgcf/libc.h"
-#include "dgcf/loader.h"
 #include "dgcf/rpc.h"
 #include "ensemble/loader.h"
 #include "gpusim/device.h"
@@ -34,9 +33,11 @@ int main() {
     dgcf::DeviceLibc libc(device);
     dgcf::AppEnv env{&device, &rpc, &libc};
     for (std::uint32_t i = 0; i < kTrajectories; ++i) {
-      dgcf::SingleRunOptions opt{.app = "xsbench", .args = args_for(i),
-                                 .thread_limit = kThreadLimit};
-      auto run = dgcf::RunSingleInstance(env, opt);
+      ensemble::EnsembleOptions opt;
+      opt.app = "xsbench";
+      opt.instance_args = {args_for(i)};
+      opt.thread_limit = kThreadLimit;
+      auto run = ensemble::RunEnsemble(env, opt);
       DGC_CHECK(run.ok());
       DGC_CHECK_MSG(run->all_ok(), "trajectory failed verification");
       serial_cycles += run->total_cycles();

@@ -1,13 +1,12 @@
-// Quickstart: compile an application "for the device", run it once through
-// the classic single-instance loader, then run four instances at once with
-// the ensemble loader — the end-to-end flow of the paper's Fig. 5.
+// Quickstart: compile an application "for the device", run it once (the
+// original single-instance flow: an ensemble of one), then run four
+// instances in one kernel — the end-to-end flow of the paper's Fig. 5.
 //
 //   $ ./quickstart
 #include <cstdio>
 
 #include "dgcf/app.h"
 #include "dgcf/libc.h"
-#include "dgcf/loader.h"
 #include "dgcf/rpc.h"
 #include "ensemble/loader.h"
 #include "gpusim/device.h"
@@ -67,9 +66,11 @@ int main() {
   std::printf("device: %s\n\n", device.spec().name.c_str());
 
   // --- 1. The original direct-GPU-compilation flow: one instance ----------
-  dgcf::SingleRunOptions single{.app = "pi", .args = {"-n", "16384"},
-                                .thread_limit = 128};
-  auto run1 = dgcf::RunSingleInstance(env, single);
+  ensemble::EnsembleOptions single;
+  single.app = "pi";
+  single.instance_args = {{"-n", "16384"}};
+  single.thread_limit = 128;
+  auto run1 = ensemble::RunEnsemble(env, single);
   DGC_CHECK(run1.ok());
   std::printf("single instance: exit=%d, %llu device cycles\n",
               run1->instances[0].exit_code,

@@ -2,8 +2,7 @@
 //
 // For each instance the loader builds `argv[0..argc)` as pointers into one
 // device allocation holding all argument strings back to back, then maps it
-// to the device. The same block serves the single-instance loader (one row)
-// and the ensemble loader (one row per instance).
+// to the device, one row per instance.
 #pragma once
 
 #include <cstdint>

@@ -1,12 +1,5 @@
 #include "dgcf/loader.h"
 
-#include "dgcf/argv.h"
-#include "gpusim/device.h"
-#include "gpusim/lane.h"
-#include "gpusim/profiler.h"
-#include "ompx/league.h"
-#include "support/str.h"
-
 namespace dgc::dgcf {
 
 std::string_view ToString(TerminationReason reason) {
@@ -32,104 +25,6 @@ TerminationReason ReasonForTrap(sim::TrapKind kind) {
     case sim::TrapKind::kNone: break;
   }
   return TerminationReason::kException;
-}
-
-StatusOr<RunResult> RunSingleInstance(AppEnv& env,
-                                      const SingleRunOptions& options) {
-  DGC_CHECK(env.device != nullptr);
-  DGC_ASSIGN_OR_RETURN(const AppInfo* app,
-                       AppRegistry::Instance().Find(options.app));
-  if (options.memcheck != nullptr) {
-    options.memcheck->Attach(env.device->memory());
-    options.memcheck->SetTeamInstance(0, 0);
-  }
-  env.share_data = options.share_data;
-  // Attribute device allocations: everything issued from a lane belongs to
-  // the single instance; host-side setup stays unattributed (-1).
-  env.device->memory().set_instance_resolver(
-      [] { return sim::CurrentLane() != nullptr ? 0 : -1; });
-
-  std::vector<std::string> argv_row;
-  argv_row.reserve(options.args.size() + 1);
-  argv_row.push_back(options.app);
-  argv_row.insert(argv_row.end(), options.args.begin(), options.args.end());
-  DGC_ASSIGN_OR_RETURN(ArgvBlock argv, ArgvBlock::Build(*env.device, {argv_row}));
-
-  RunResult run;
-  run.instances.resize(1);
-  run.transfer_cycles = argv.transfer_cycles();
-
-  ompx::TeamsConfig cfg;
-  cfg.num_teams = 1;  // single-team execution preserves host semantics
-  cfg.thread_limit = options.thread_limit;
-  cfg.name = "single-instance";
-  cfg.memcheck = options.memcheck;
-  cfg.faults = options.faults;
-  cfg.watchdog_cycles = options.watchdog_cycles != 0
-                            ? options.watchdog_cycles
-                            : env.device->spec().DefaultWatchdogCycles();
-  // One instance: every lane of the launch belongs to it.
-  cfg.instance_of = [](std::uint32_t, std::uint32_t) { return 0; };
-  cfg.profiler = options.profiler;
-
-  InstanceResult& inst = run.instances[0];
-  auto result = ompx::LaunchTeams(
-      *env.device, cfg,
-      [&](ompx::TeamCtx& team) -> sim::DeviceTask<void> {
-        inst.attempts = 1;
-        const std::uint64_t started = team.hw->Now();
-        try {
-          inst.exit_code =
-              co_await app->user_main(env, team, argv.argc(0), argv.argv(0));
-          inst.completed = true;
-          inst.reason = TerminationReason::kReturned;
-        } catch (const sim::DeviceTrap& trap) {
-          inst.reason = ReasonForTrap(trap.kind());
-          inst.detail = trap.what();
-        } catch (const std::exception& e) {
-          inst.reason = TerminationReason::kException;
-          inst.detail = e.what();
-        }
-        inst.cycles = team.hw->Now() - started;
-        // A trapped initial thread still terminates the team normally (the
-        // loader lambda returns), so the launch drains and siblings — here
-        // none — are unaffected. Re-raise nothing: the failure is already
-        // recorded on the instance; the per-lane failure log entry comes
-        // from RecordFailure only for lanes that die, which this one no
-        // longer does.
-      });
-  DGC_RETURN_IF_ERROR(result.status());
-
-  run.waves = 1;
-  run.kernel_cycles = result->cycles;
-  run.stats = result->stats;
-  run.failures = std::move(result->failures);
-  run.memcheck = std::move(result->memcheck);
-  if (result->outcome == sim::LaunchOutcome::kDeadlocked && !inst.completed &&
-      inst.reason == TerminationReason::kNotStarted) {
-    inst.reason = TerminationReason::kDeadlock;
-  }
-  if (!inst.completed && inst.reason != TerminationReason::kNotStarted &&
-      inst.reason != TerminationReason::kReturned) {
-    // Containment messages reach the failure log even though no lane died.
-    run.failures.push_back(StrFormat("instance=0 contained: %s (%s)",
-                                     std::string(ToString(inst.reason)).c_str(),
-                                     inst.detail.c_str()));
-  }
-  // Mapping back the Ret value (map(from:Ret[:1])).
-  run.transfer_cycles += sim::TransferCycles(env.device->spec(), sizeof(int));
-  if (options.profiler != nullptr) {
-    options.profiler->SetInstanceElapsed(0, inst.cycles);
-    run.instance_stats = options.profiler->instances();
-  }
-  run.device_mem = env.device->memory().Snapshot();
-  const auto& owner_stats = env.device->memory().owner_stats();
-  if (auto it = owner_stats.find(0); it != owner_stats.end()) {
-    inst.mem_peak_bytes = it->second.peak_bytes;
-    inst.mem_allocations = it->second.total_allocations;
-  }
-  env.device->memory().set_instance_resolver(nullptr);
-  return run;
 }
 
 }  // namespace dgc::dgcf

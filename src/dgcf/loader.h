@@ -1,25 +1,21 @@
-// The single-instance loader — the main wrapper of the original direct GPU
-// compilation framework ([26], §2.2).
+// What a loader run reports: how each application instance ended and the
+// run's cycles, stats and findings.
 //
-// It is the baseline the paper's evaluation measures T1 against: map the
-// command line to the device, launch ONE team (single-team semantics keep
-// host behaviour), call `__user_main`, and map the exit code back. The
-// ensemble loader (ensemble/loader.h) extends this to NI instances.
+// There is one loader, ensemble::RunEnsemble (ensemble/loader.h). The main
+// wrapper of the original direct GPU compilation framework ([26], §2.2),
+// which runs ONE instance on one team, is that loader given a single
+// argument row; the evaluation measures T1 exactly that way.
 #pragma once
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
-#include "dgcf/app.h"
 #include "gpusim/faults.h"
 #include "gpusim/memcheck.h"
+#include "gpusim/memory.h"
 #include "gpusim/stats.h"
-#include "support/status.h"
-
-namespace dgc::sim {
-class Profiler;
-}  // namespace dgc::sim
 
 namespace dgc::dgcf {
 
@@ -64,7 +60,7 @@ struct InstanceResult {
   std::uint64_t mem_allocations = 0;
 };
 
-/// Outcome of a loader run (single instance or ensemble).
+/// Outcome of a loader run.
 struct RunResult {
   std::vector<InstanceResult> instances;
   std::uint64_t kernel_cycles = 0;    ///< device execution incl. launch
@@ -98,31 +94,5 @@ struct RunResult {
     return !instances.empty();
   }
 };
-
-struct SingleRunOptions {
-  std::string app;                 ///< registered application name
-  std::vector<std::string> args;   ///< argv[1..]; argv[0] is the app name
-  std::uint32_t thread_limit = 1024;
-  /// Optional shadow-memory sanitizer; attached to the device memory (and
-  /// seeded with pre-existing allocations) before the run builds state.
-  sim::Memcheck* memcheck = nullptr;
-  /// Optional deterministic fault-injection plan (gpusim/faults.h). The
-  /// caller wires the same plan into the AppEnv's DeviceLibc/RpcHost if
-  /// heap/RPC faults should fire too.
-  sim::FaultPlan* faults = nullptr;
-  /// Launch watchdog cycle budget; 0 derives the device-spec default.
-  std::uint64_t watchdog_cycles = 0;
-  /// Optional launch profiler (gpusim/profiler.h); null = off. When set,
-  /// the run fills RunResult::instance_stats from it.
-  sim::Profiler* profiler = nullptr;
-  /// Share content-identical read-only inputs across instances
-  /// (AppEnv::share_data). Moot for a single instance but honored, so T1
-  /// baselines measure the same code path as the ensemble.
-  bool share_data = false;
-};
-
-/// Runs one instance on one team, as the original framework does.
-StatusOr<RunResult> RunSingleInstance(AppEnv& env,
-                                      const SingleRunOptions& options);
 
 }  // namespace dgc::dgcf

@@ -42,7 +42,12 @@ Status RunPoint(const ExperimentConfig& config, std::uint32_t n,
   dgcf::DeviceLibc libc(device);
   dgcf::AppEnv env{&device, &rpc, &libc};
 
-  EnsembleOptions options;
+  // RunLoaderArgs parses a fresh plan from the spec for every point:
+  // consumption counters must start fresh for every (benchmark × count) so
+  // the sweep is byte-identical for any --jobs value.
+  LoaderArgs args;
+  args.inject = config.inject_spec;
+  EnsembleOptions& options = args.options;
   options.app = config.app;
   for (std::uint32_t i = 0; i < n; ++i) {
     options.instance_args.push_back(config.args_for_instance(i));
@@ -64,18 +69,7 @@ Status RunPoint(const ExperimentConfig& config, std::uint32_t n,
   sim::Profiler profiler(profiler_options);
   if (config.profile) options.profiler = &profiler;
 
-  // Each point parses its own plan: consumption counters must start fresh
-  // for every (benchmark × count) so the sweep is byte-identical for any
-  // --jobs value.
-  sim::FaultPlan plan;
-  if (!config.inject_spec.empty()) {
-    DGC_ASSIGN_OR_RETURN(plan, sim::FaultPlan::Parse(config.inject_spec));
-    options.faults = &plan;
-    libc.set_fault_plan(&plan);
-    rpc.set_fault_plan(&plan);
-  }
-
-  auto run = RunEnsemble(env, options);
+  auto run = RunLoaderArgs(env, args);
   if (!run.ok()) {
     if (run.status().code() == ErrorCode::kOutOfMemory) {
       point.note = "out of device memory";

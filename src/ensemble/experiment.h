@@ -83,10 +83,10 @@ struct SweepOptions {
 struct SpeedupPoint {
   std::uint32_t instances = 0;
   bool ran = false;        ///< false: configuration skipped (e.g. OOM)
-  std::string note;        ///< skip reason
+  std::string note{};      ///< skip reason
   std::uint64_t cycles = 0;  ///< TN, kernel execution cycles
   double speedup = 0.0;      ///< T1 · N / TN
-  sim::LaunchStats stats;
+  sim::LaunchStats stats{};
   /// Device-memory footprint of the point: high-water mark and the bytes
   /// the shared-segment facility avoided duplicating (0 when sharing is
   /// off or no instances coincide).
@@ -94,7 +94,7 @@ struct SpeedupPoint {
   std::uint64_t shared_bytes_saved = 0;
   /// Complete dgc-metrics-v1 document for this point (ensemble/metrics.h)
   /// when ExperimentConfig::profile is set and the point ran; "" otherwise.
-  std::string metrics_json;
+  std::string metrics_json{};
 };
 
 struct SpeedupSeries {

@@ -298,20 +298,16 @@ StatusOr<dgcf::RunResult> RunEnsemble(dgcf::AppEnv& env,
   return run;
 }
 
-StatusOr<dgcf::RunResult> RunEnsembleCli(dgcf::AppEnv& env,
-                                         const std::string& app,
-                                         const std::vector<std::string>& argv,
-                                         sim::Trace* trace,
-                                         sim::Memcheck* memcheck,
-                                         sim::Profiler* profiler) {
+StatusOr<LoaderArgs> ParseLoaderArgs(const std::string& app,
+                                     const std::vector<std::string>& argv) {
   std::string file;
   std::int64_t instances = 0, threads = 1024, teams = 0, per_block = 1;
   std::int64_t seed = 0;
   bool script = false;
-  std::string inject;
   std::int64_t watchdog = 0, instance_watchdog = 0;
   std::int64_t retry = 1, retry_shrink = 2;
   std::string share_data = "on";
+  LoaderArgs args;
   ArgParser parser("GPU ensemble loader (paper Fig. 5c)");
   parser.AddString("file", 'f', "command line arguments file", &file,
                    /*required=*/true)
@@ -323,7 +319,8 @@ StatusOr<dgcf::RunResult> RunEnsembleCli(dgcf::AppEnv& env,
               &per_block)
       .AddFlag("script", 0, "treat the file as an argument script", &script)
       .AddInt("seed", 0, "argument-script random seed", &seed)
-      .AddString("inject", 0, "deterministic fault-injection spec", &inject)
+      .AddString("inject", 0, "deterministic fault-injection spec",
+                 &args.inject)
       .AddInt("watchdog", 0, "launch cycle budget (0 = device default)",
               &watchdog)
       .AddInt("instance-watchdog", 0,
@@ -351,31 +348,25 @@ StatusOr<dgcf::RunResult> RunEnsembleCli(dgcf::AppEnv& env,
                   "--watchdog/--instance-watchdog must be >= 0 and "
                   "--retry must be positive");
   }
+  // A bad --inject spec is a usage error: reject it before any file is read.
+  if (!args.inject.empty()) {
+    if (auto plan = sim::FaultPlan::Parse(args.inject); !plan.ok()) {
+      return Status(ErrorCode::kInvalidArgument,
+                    "bad --inject spec: " + plan.status().message());
+    }
+  }
 
-  EnsembleOptions options;
+  EnsembleOptions& options = args.options;
   options.app = app;
   options.num_instances = std::uint32_t(instances);
   options.thread_limit = std::uint32_t(threads);
   options.num_teams = std::uint32_t(teams);
   options.teams_per_block = std::uint32_t(per_block);
-  options.trace = trace;
-  options.memcheck = memcheck;
-  options.profiler = profiler;
   options.watchdog_cycles = std::uint64_t(watchdog);
   options.instance_watchdog_cycles = std::uint64_t(instance_watchdog);
   options.max_attempts = std::uint32_t(retry);
   options.retry_shrink = std::uint32_t(retry_shrink);
   options.share_data = share_data == "on";
-
-  // Validate (and build) the fault plan before touching the argument file:
-  // a bad --inject spec is a usage error and must fail before any work. A
-  // fresh plan per run keeps count-based faults deterministic; it is wired
-  // into the heap and the RPC ring below and detached before it goes out of
-  // scope.
-  sim::FaultPlan plan;
-  if (!inject.empty()) {
-    DGC_ASSIGN_OR_RETURN(plan, sim::FaultPlan::Parse(inject));
-  }
 
   if (script) {
     std::ifstream in(file, std::ios::binary);
@@ -389,17 +380,23 @@ StatusOr<dgcf::RunResult> RunEnsembleCli(dgcf::AppEnv& env,
   } else {
     DGC_ASSIGN_OR_RETURN(options.instance_args, LoadArgumentFile(file));
   }
+  return args;
+}
 
-  if (!inject.empty()) {
-    options.faults = &plan;
-    if (env.libc != nullptr) env.libc->set_fault_plan(&plan);
-    if (env.rpc != nullptr) env.rpc->set_fault_plan(&plan);
-  }
+StatusOr<dgcf::RunResult> RunLoaderArgs(dgcf::AppEnv& env,
+                                        const LoaderArgs& args) {
+  if (args.inject.empty()) return RunEnsemble(env, args.options);
+  // A fresh plan per run keeps count-based faults deterministic. It is
+  // wired into the heap and the RPC ring and detached before it goes out
+  // of scope.
+  DGC_ASSIGN_OR_RETURN(sim::FaultPlan plan, sim::FaultPlan::Parse(args.inject));
+  EnsembleOptions options = args.options;
+  options.faults = &plan;
+  if (env.libc != nullptr) env.libc->set_fault_plan(&plan);
+  if (env.rpc != nullptr) env.rpc->set_fault_plan(&plan);
   auto run = RunEnsemble(env, options);
-  if (!inject.empty()) {
-    if (env.libc != nullptr) env.libc->set_fault_plan(nullptr);
-    if (env.rpc != nullptr) env.rpc->set_fault_plan(nullptr);
-  }
+  if (env.libc != nullptr) env.libc->set_fault_plan(nullptr);
+  if (env.rpc != nullptr) env.rpc->set_fault_plan(nullptr);
   return run;
 }
 

@@ -4,7 +4,9 @@
 // application inside ONE kernel: instance I's command line comes from line
 // I of the argument file; each instance is mapped to a team via
 // `target teams distribute num_teams(N) thread_limit(T)` (Fig. 4), and the
-// per-instance exit codes are mapped back (`map(from:Ret[:NI])`).
+// per-instance exit codes are mapped back (`map(from:Ret[:NI])`). With one
+// argument row it is the single-instance wrapper itself, which is how the
+// T1 baseline runs.
 //
 // The loader's own command line mirrors Fig. 5c:
 //   user_app_gpu -f arguments.txt -n 4 -t 128
@@ -48,7 +50,7 @@ struct EnsembleOptions {
   /// loader forwards it to every launch wave; the same plan object persists
   /// across retries, so count-based faults fire exactly once and a retry
   /// can recover the instance they hit. The caller wires the plan into the
-  /// AppEnv's DeviceLibc/RpcHost for heap/RPC faults (RunEnsembleCli does).
+  /// AppEnv's DeviceLibc/RpcHost for heap/RPC faults (RunLoaderArgs does).
   sim::FaultPlan* faults = nullptr;
   /// Launch watchdog: cycle budget for each kernel launch, after which
   /// every still-running lane traps (kWatchdog) and the launch drains.
@@ -94,19 +96,31 @@ struct EnsembleOptions {
 StatusOr<dgcf::RunResult> RunEnsemble(dgcf::AppEnv& env,
                                       const EnsembleOptions& options);
 
-/// Fig. 5c front end: parses `-f <file> -n <instances> -t <threads>`
-/// (plus -m/--teams/--script, `--share-data on|off` — default on — and the
+/// The loader's own command line (Fig. 5c), parsed and validated.
+struct LoaderArgs {
+  /// The run the flags describe, with instance_args loaded from the -f file
+  /// (or expanded from it with --script). trace/memcheck/profiler are left
+  /// null for the caller to attach.
+  EnsembleOptions options;
+  /// The --inject FaultPlan spec (gpusim/faults.h grammar), already
+  /// validated; "" = no injection.
+  std::string inject;
+};
+
+/// Fig. 5c front end: parses `-f <file> -n <instances> -t <threads>` (plus
+/// -m/--teams/--script/--seed, `--share-data on|off` — default on — and the
 /// fault-tolerance flags
 /// --inject/--watchdog/--instance-watchdog/--retry/--retry-shrink) for
-/// `app`, loading the argument file through the host filesystem, then calls
-/// RunEnsemble. --inject parses a FaultPlan spec (gpusim/faults.h) and
-/// wires it into the launch, the device libc, and the RPC host for the
-/// duration of the run.
-StatusOr<dgcf::RunResult> RunEnsembleCli(dgcf::AppEnv& env,
-                                         const std::string& app,
-                                         const std::vector<std::string>& argv,
-                                         sim::Trace* trace = nullptr,
-                                         sim::Memcheck* memcheck = nullptr,
-                                         sim::Profiler* profiler = nullptr);
+/// `app`. Every value and the --inject spec are checked before the argument
+/// file is read through the host filesystem; any problem is an error
+/// Status, so a caller can reject bad usage before building a device.
+StatusOr<LoaderArgs> ParseLoaderArgs(const std::string& app,
+                                     const std::vector<std::string>& argv);
+
+/// Runs a parsed command line: builds a fresh FaultPlan from args.inject,
+/// wires it into the launch, the device libc and the RPC host for the
+/// duration of the run, and calls RunEnsemble.
+StatusOr<dgcf::RunResult> RunLoaderArgs(dgcf::AppEnv& env,
+                                        const LoaderArgs& args);
 
 }  // namespace dgc::ensemble

@@ -66,6 +66,15 @@ DeviceSpec DeviceSpec::TestDevice() {
   return s;
 }
 
+StatusOr<DeviceSpec> DeviceSpec::ByName(const std::string& name,
+                                        std::uint32_t memory_scale) {
+  if (name == "a100") return A100_40GB(memory_scale);
+  if (name == "v100") return V100_16GB(memory_scale);
+  if (name == "test") return TestDevice();
+  return Status(ErrorCode::kInvalidArgument,
+                "unknown device '" + name + "' (a100, v100, test)");
+}
+
 namespace {
 bool IsPow2(std::uint64_t v) { return v != 0 && (v & (v - 1)) == 0; }
 }  // namespace

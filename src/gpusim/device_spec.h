@@ -8,6 +8,7 @@
 #include <cstdint>
 #include <string>
 
+#include "support/status.h"
 #include "support/units.h"
 
 namespace dgc::sim {
@@ -72,6 +73,10 @@ struct DeviceSpec {
   static DeviceSpec V100_16GB(std::uint32_t memory_scale = 64);
   /// Tiny device for unit tests: 2 SMs, small caches, fast to simulate.
   static DeviceSpec TestDevice();
+  /// The preset a command line names: "a100", "v100" (capacity scaled by
+  /// `memory_scale`) or "test".
+  static StatusOr<DeviceSpec> ByName(const std::string& name,
+                                     std::uint32_t memory_scale);
 
   /// Warps needed for `threads` threads.
   int WarpsPerBlock(int threads) const {

@@ -36,7 +36,7 @@ struct TeamsConfig {
   std::uint64_t watchdog_cycles = 0;
   /// Optional instance attribution for lane-failure messages; installed by
   /// the ensemble loader (see sim::InstanceOfFn).
-  sim::InstanceOfFn instance_of;
+  sim::InstanceOfFn instance_of = nullptr;
   /// Optional launch profiler (gpusim/profiler.h), forwarded to the kernel
   /// launch; attributes counters per instance through `instance_of`.
   sim::Profiler* profiler = nullptr;

@@ -1,6 +1,6 @@
 // Verification tests for the four benchmark apps: every device kernel must
-// reproduce its host reference hash bit-for-bit, under both loaders, at
-// several thread limits, and packed into ensembles.
+// reproduce its host reference hash bit-for-bit, run alone (one instance)
+// at several thread limits and packed into ensembles.
 #include <gtest/gtest.h>
 
 #include "apps/amgmk.h"
@@ -9,7 +9,6 @@
 #include "apps/rsbench.h"
 #include "apps/xsbench.h"
 #include "dgcf/libc.h"
-#include "dgcf/loader.h"
 #include "dgcf/rpc.h"
 #include "ensemble/loader.h"
 #include "gpusim/device.h"
@@ -18,8 +17,6 @@
 namespace dgc::apps {
 namespace {
 
-using dgcf::RunResult;
-using dgcf::SingleRunOptions;
 using sim::Device;
 using sim::DeviceSpec;
 
@@ -34,15 +31,23 @@ class AppsTest : public testing::Test {
     dgcf::AppEnv app_env{&device, &rpc, &libc};
   };
 
+  /// One instance of `app`: a single-row ensemble.
+  static ensemble::EnsembleOptions OneInstance(const std::string& app,
+                                               std::vector<std::string> args,
+                                               std::uint32_t thread_limit) {
+    ensemble::EnsembleOptions opt;
+    opt.app = app;
+    opt.instance_args = {std::move(args)};
+    opt.thread_limit = thread_limit;
+    return opt;
+  }
+
   /// Runs one instance and returns its exit code (0 = verified).
   int RunSingle(const std::string& app, std::vector<std::string> args,
                 std::uint32_t thread_limit = 64) {
     Env env;
-    SingleRunOptions opt;
-    opt.app = app;
-    opt.args = std::move(args);
-    opt.thread_limit = thread_limit;
-    auto run = dgcf::RunSingleInstance(env.app_env, opt);
+    auto run = ensemble::RunEnsemble(
+        env.app_env, OneInstance(app, std::move(args), thread_limit));
     if (!run.ok()) {
       ADD_FAILURE() << run.status().ToString();
       return -1;
@@ -133,15 +138,13 @@ TEST_F(AppsTest, RsbenchIsComputeHeavierThanXsbenchPerByte) {
   // Sanity on the memory/compute characterization the paper relies on:
   // RSBench issues far more compute cycles relative to DRAM traffic.
   Env env;
-  SingleRunOptions xs{.app = "xsbench",
-                      .args = {"-i", "8", "-g", "64", "-l", "256"},
-                      .thread_limit = 64};
-  SingleRunOptions rs{.app = "rsbench",
-                      .args = {"-u", "8", "-w", "8", "-l", "256"},
-                      .thread_limit = 64};
-  auto xs_run = dgcf::RunSingleInstance(env.app_env, xs);
+  auto xs_run = ensemble::RunEnsemble(
+      env.app_env,
+      OneInstance("xsbench", {"-i", "8", "-g", "64", "-l", "256"}, 64));
   Env env2;
-  auto rs_run = dgcf::RunSingleInstance(env2.app_env, rs);
+  auto rs_run = ensemble::RunEnsemble(
+      env2.app_env,
+      OneInstance("rsbench", {"-u", "8", "-w", "8", "-l", "256"}, 64));
   ASSERT_TRUE(xs_run.ok());
   ASSERT_TRUE(rs_run.ok());
   const double xs_ratio = double(xs_run->stats.compute_cycles_issued) /
@@ -303,12 +306,12 @@ TEST_P(XsGridTypes, DeviceMatchesHostReference) {
   dgcf::RpcHost rpc(device);
   dgcf::DeviceLibc libc(device);
   dgcf::AppEnv env{&device, &rpc, &libc};
-  dgcf::SingleRunOptions opt;
+  ensemble::EnsembleOptions opt;
   opt.app = "xsbench";
-  opt.args = {"-i", "8", "-g", "64", "-l", "200", "-G",
-              std::string(ToString(GetParam()))};
+  opt.instance_args = {{"-i", "8", "-g", "64", "-l", "200", "-G",
+                        std::string(ToString(GetParam()))}};
   opt.thread_limit = 64;
-  auto run = dgcf::RunSingleInstance(env, opt);
+  auto run = ensemble::RunEnsemble(env, opt);
   ASSERT_TRUE(run.ok()) << run.status().ToString();
   EXPECT_TRUE(run->failures.empty())
       << (run->failures.empty() ? "" : run->failures[0]);

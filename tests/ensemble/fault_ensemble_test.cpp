@@ -265,15 +265,19 @@ TEST(FaultEnsemble, SameSeedSameResultsAcrossRuns) {
   EXPECT_EQ(a.failures, b.failures);
 }
 
-// --- Single-instance loader containment --------------------------------------
+// --- One-instance containment -----------------------------------------------
+
+EnsembleOptions OneProbe(std::vector<std::string> args) {
+  EnsembleOptions opt;
+  opt.app = "faultprobe";
+  opt.instance_args = {std::move(args)};
+  opt.thread_limit = 4;
+  return opt;
+}
 
 TEST(FaultSingle, AbortIsContainedWithAReason) {
   Env env;
-  dgcf::SingleRunOptions opt;
-  opt.app = "faultprobe";
-  opt.args = {"-a"};
-  opt.thread_limit = 4;
-  auto run = dgcf::RunSingleInstance(env.app_env, opt);
+  auto run = RunEnsemble(env.app_env, OneProbe({"-a"}));
   ASSERT_TRUE(run.ok()) << run.status().ToString();
   EXPECT_FALSE(run->instances[0].completed);
   EXPECT_EQ(run->instances[0].reason, TerminationReason::kTrapAbort);
@@ -285,12 +289,9 @@ TEST(FaultSingle, AbortIsContainedWithAReason) {
 
 TEST(FaultSingle, WatchdogKillsAHungSingleInstance) {
   Env env;
-  dgcf::SingleRunOptions opt;
-  opt.app = "faultprobe";
-  opt.args = {"-h"};
-  opt.thread_limit = 4;
+  auto opt = OneProbe({"-h"});
   opt.watchdog_cycles = 100000;
-  auto run = dgcf::RunSingleInstance(env.app_env, opt);
+  auto run = RunEnsemble(env.app_env, opt);
   ASSERT_TRUE(run.ok()) << run.status().ToString();
   EXPECT_FALSE(run->instances[0].completed);
   EXPECT_EQ(run->instances[0].reason, TerminationReason::kWatchdog);

@@ -9,8 +9,9 @@
 #include "dgcf/rpc.h"
 #include "ensemble/isolation.h"
 #include "ensemble/loader.h"
-#include "gpusim/trace.h"
 #include "gpusim/device.h"
+#include "gpusim/memcheck.h"
+#include "gpusim/trace.h"
 #include "ompx/team.h"
 #include "support/str.h"
 
@@ -229,8 +230,10 @@ TEST(EnsembleLoader, CliFrontEndMatchesFig5c) {
     std::ofstream out(path);
     for (int i = 0; i < 4; ++i) out << "-s " << (100 + i) << "\n";
   }
-  auto run = RunEnsembleCli(env.app_env, "ensemble_probe",
-                            {"-f", path, "-n", "4", "-t", "32"});
+  auto args =
+      ParseLoaderArgs("ensemble_probe", {"-f", path, "-n", "4", "-t", "32"});
+  ASSERT_TRUE(args.ok()) << args.status().ToString();
+  auto run = RunLoaderArgs(env.app_env, *args);
   ASSERT_TRUE(run.ok()) << run.status().ToString();
   EXPECT_EQ(run->instances.size(), 4u);
   for (int i = 0; i < 4; ++i) EXPECT_EQ(run->instances[std::size_t(i)].exit_code, i);
@@ -244,8 +247,10 @@ TEST(EnsembleLoader, CliScriptMode) {
     std::ofstream out(path);
     out << "@repeat 3 : -s {i+100}\n";
   }
-  auto run = RunEnsembleCli(env.app_env, "ensemble_probe",
-                            {"-f", path, "-t", "32", "--script"});
+  auto args =
+      ParseLoaderArgs("ensemble_probe", {"-f", path, "-t", "32", "--script"});
+  ASSERT_TRUE(args.ok()) << args.status().ToString();
+  auto run = RunLoaderArgs(env.app_env, *args);
   ASSERT_TRUE(run.ok()) << run.status().ToString();
   ASSERT_EQ(run->instances.size(), 3u);
   for (int i = 0; i < 3; ++i) EXPECT_EQ(run->instances[std::size_t(i)].exit_code, i);
@@ -253,10 +258,165 @@ TEST(EnsembleLoader, CliScriptMode) {
 }
 
 TEST(EnsembleLoader, CliRejectsBadFlags) {
+  EXPECT_FALSE(ParseLoaderArgs("ensemble_probe", {"-n", "4"}).ok());
+  EXPECT_FALSE(ParseLoaderArgs("ensemble_probe", {"-f", "/nope"}).ok());
+  // A bad --inject spec is reported as such, before the file is read.
+  auto bad_inject =
+      ParseLoaderArgs("ensemble_probe", {"-f", "/nope", "--inject=bogus:1"});
+  ASSERT_FALSE(bad_inject.ok());
+  EXPECT_EQ(bad_inject.status().code(), ErrorCode::kInvalidArgument);
+  EXPECT_NE(bad_inject.status().message().find("--inject"), std::string::npos)
+      << bad_inject.status().ToString();
+}
+
+TEST(EnsembleLoader, CliParsesAttachedAndEqualsForms) {
+  const std::string path = testing::TempDir() + "/dgc_ensemble_forms.txt";
+  {
+    std::ofstream out(path);
+    out << "-s 100\n-s 101\n";
+  }
+  auto attached = ParseLoaderArgs("ensemble_probe",
+                                  {"-f", path, "-t64", "-m2", "--teams=1"});
+  ASSERT_TRUE(attached.ok()) << attached.status().ToString();
+  EXPECT_EQ(attached->options.thread_limit, 64u);
+  EXPECT_EQ(attached->options.teams_per_block, 2u);
+  EXPECT_EQ(attached->options.num_teams, 1u);
+  EXPECT_EQ(attached->options.instance_args.size(), 2u);
+  auto equals = ParseLoaderArgs(
+      "ensemble_probe", {"--file=" + path, "--thread-limit=64",
+                         "--inject=trap@b0.w0.c5000", "--share-data=off"});
+  ASSERT_TRUE(equals.ok()) << equals.status().ToString();
+  EXPECT_EQ(equals->options.thread_limit, 64u);
+  EXPECT_EQ(equals->inject, "trap@b0.w0.c5000");
+  EXPECT_FALSE(equals->options.share_data);
+  std::remove(path.c_str());
+}
+
+// --- One instance ------------------------------------------------------------
+// The original framework's main wrapper ([26]) ran ONE instance on one team;
+// here that is RunEnsemble with a single argument row, the T1 baseline.
+
+// A miniature "legacy CPU application": parses -n <count> and -x <value>,
+// device-mallocs a vector, fills it in parallel, reduces, prints the total,
+// and returns 0 (or a usage / OOM error).
+DeviceTask<int> FillReduceMain(AppEnv& env, TeamCtx& team, int argc,
+                               DeviceArgv argv) {
+  std::uint64_t n = 0;
+  double x = 1.0;
+  for (int i = 1; i < argc; ++i) {
+    if (DeviceLibc::StrCmp(argv[i], "-n") == 0 && i + 1 < argc) {
+      n = std::uint64_t(std::strtoll(DeviceLibc::ToString(argv[++i]).c_str(),
+                                     nullptr, 10));
+    } else if (DeviceLibc::StrCmp(argv[i], "-x") == 0 && i + 1 < argc) {
+      x = std::strtod(DeviceLibc::ToString(argv[++i]).c_str(), nullptr);
+    } else {
+      co_return dgcf::kExitUsage;
+    }
+  }
+  if (n == 0) co_return dgcf::kExitUsage;
+
+  sim::DeviceBuffer buf =
+      co_await env.libc->Malloc(*team.hw, n * sizeof(double));
+  if (buf.host == nullptr) co_return dgcf::kExitNoMem;
+  auto p = buf.Typed<double>();
+
+  co_await ompx::ParallelFor(
+      team, n, [&](ThreadCtx& ctx, std::uint64_t i) -> DeviceTask<void> {
+        co_await ctx.Store(p + i, x);
+      });
+
+  double sum = 0;
+  co_await ompx::Parallel(
+      team, [&](ThreadCtx&, std::uint32_t rank,
+                std::uint32_t size) -> DeviceTask<void> {
+        double local = 0;
+        for (std::uint64_t i = rank; i < n; i += size) {
+          local += co_await team.hw->Load(p + i);
+        }
+        const double total = co_await ompx::TeamReduceSum(team, local);
+        if (rank == 0) sum = total;
+      });
+
+  co_await env.rpc->Print(*team.hw, StrFormat("sum=%.1f\n", sum));
+  co_await env.libc->Free(*team.hw, buf.addr);
+  co_return dgcf::kExitOk;
+}
+
+DGC_REGISTER_APP(fill_reduce, "fill-and-reduce smoke app", FillReduceMain)
+
+EnsembleOptions OneInstance(std::string app, std::vector<std::string> args,
+                            std::uint32_t thread_limit) {
+  EnsembleOptions opt;
+  opt.app = std::move(app);
+  opt.instance_args = {std::move(args)};
+  opt.thread_limit = thread_limit;
+  return opt;
+}
+
+TEST(SingleLoader, RunsAppEndToEnd) {
   Env env;
-  EXPECT_FALSE(RunEnsembleCli(env.app_env, "ensemble_probe", {"-n", "4"}).ok());
-  EXPECT_FALSE(
-      RunEnsembleCli(env.app_env, "ensemble_probe", {"-f", "/nope"}).ok());
+  auto run = RunEnsemble(
+      env.app_env, OneInstance("fill_reduce", {"-n", "500", "-x", "2.0"}, 64));
+  ASSERT_TRUE(run.ok()) << run.status().ToString();
+  ASSERT_EQ(run->instances.size(), 1u);
+  EXPECT_TRUE(run->instances[0].completed);
+  EXPECT_EQ(run->instances[0].exit_code, dgcf::kExitOk);
+  EXPECT_EQ(env.rpc.stdout_text(), "sum=1000.0\n");
+  EXPECT_GT(run->kernel_cycles, 0u);
+  EXPECT_GT(run->transfer_cycles, 0u);
+  EXPECT_TRUE(run->all_ok());
+}
+
+TEST(SingleLoader, MemcheckCleanOnCorrectApp) {
+  Env env;
+  sim::Memcheck memcheck;
+  memcheck.Attach(env.device.memory());
+  auto opt = OneInstance("fill_reduce", {"-n", "500", "-x", "2.0"}, 64);
+  opt.memcheck = &memcheck;
+  auto run = RunEnsemble(env.app_env, opt);
+  ASSERT_TRUE(run.ok()) << run.status().ToString();
+  EXPECT_TRUE(run->all_ok());
+  EXPECT_TRUE(run->memcheck.clean()) << run->memcheck.ToString();
+  EXPECT_EQ(run->stats.memcheck_findings, 0u);
+}
+
+TEST(SingleLoader, UsageErrorSurfacesAsExitCode) {
+  Env env;
+  auto run =
+      RunEnsemble(env.app_env, OneInstance("fill_reduce", {"--bogus"}, 32));
+  ASSERT_TRUE(run.ok());
+  EXPECT_TRUE(run->instances[0].completed);
+  EXPECT_EQ(run->instances[0].exit_code, dgcf::kExitUsage);
+  EXPECT_FALSE(run->all_ok());
+}
+
+TEST(SingleLoader, OomSurfacesAsExitCode) {
+  Env env;
+  // 64 MiB test device: ask for 100M doubles.
+  auto run = RunEnsemble(env.app_env,
+                         OneInstance("fill_reduce", {"-n", "100000000"}, 32));
+  ASSERT_TRUE(run.ok());
+  EXPECT_EQ(run->instances[0].exit_code, dgcf::kExitNoMem);
+}
+
+TEST(SingleLoader, UnknownAppFails) {
+  Env env;
+  auto run = RunEnsemble(env.app_env, OneInstance("missing", {}, 1024));
+  ASSERT_FALSE(run.ok());
+  EXPECT_EQ(run.status().code(), ErrorCode::kNotFound);
+}
+
+TEST(SingleLoader, ThreadLimitChangesParallelPerformance) {
+  Env env;
+  auto time_with = [&](std::uint32_t tl) {
+    auto run = RunEnsemble(env.app_env,
+                           OneInstance("fill_reduce", {"-n", "20000"}, tl));
+    EXPECT_TRUE(run.ok());
+    return run->kernel_cycles;
+  };
+  const auto t1 = time_with(1);
+  const auto t64 = time_with(64);
+  EXPECT_GT(t1, t64);  // the parallel fill/reduce dominates
 }
 
 // --- Global-variable isolation (§3.3) --------------------------------------

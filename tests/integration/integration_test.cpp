@@ -179,10 +179,11 @@ TEST_F(PaperProperties, InstanceResultsMatchSingleRuns) {
   dgcf::AppEnv env{&device, &rpc, &libc};
 
   for (std::uint32_t i = 0; i < 4; ++i) {
-    dgcf::SingleRunOptions single{.app = "xsbench",
-                                  .args = ArgsFor("xsbench", i),
-                                  .thread_limit = 32};
-    auto run = dgcf::RunSingleInstance(env, single);
+    ensemble::EnsembleOptions single;
+    single.app = "xsbench";
+    single.instance_args = {ArgsFor("xsbench", i)};
+    single.thread_limit = 32;
+    auto run = ensemble::RunEnsemble(env, single);
     ASSERT_TRUE(run.ok());
     EXPECT_EQ(run->instances[0].exit_code, 0) << i;
   }

@@ -3,12 +3,11 @@
 //
 //   dgc-run xsbench -f arguments.txt -n 4 -t 128
 //
-// plus quality-of-life flags: device selection, single-instance mode, the
-// argument-script language, stats reporting, and app discovery.
+// plus quality-of-life flags: device selection, the argument-script
+// language, stats and profile reporting, Fig. 6 sweeps, and app discovery.
 #include <algorithm>
 #include <cstdio>
 #include <fstream>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -16,17 +15,13 @@
 #include "dgcf/libc.h"
 #include "dgcf/loader.h"
 #include "dgcf/rpc.h"
-#include "ensemble/argfile.h"
-#include "ensemble/argscript.h"
 #include "ensemble/experiment.h"
 #include "ensemble/loader.h"
 #include "ensemble/metrics.h"
 #include "gpusim/device.h"
-#include "gpusim/faults.h"
 #include "gpusim/memcheck.h"
 #include "gpusim/profiler.h"
 #include "gpusim/trace.h"
-#include "support/argparse.h"
 #include "support/str.h"
 #include "support/thread_pool.h"
 #include "support/units.h"
@@ -42,16 +37,6 @@ int ListApps() {
     std::printf("  %-12s %s\n", name.c_str(), (*info)->description.c_str());
   }
   return 0;
-}
-
-StatusOr<sim::DeviceSpec> PickDevice(const std::string& name,
-                                     std::int64_t memory_scale) {
-  const std::uint32_t scale = std::uint32_t(memory_scale);
-  if (name == "a100") return sim::DeviceSpec::A100_40GB(scale);
-  if (name == "v100") return sim::DeviceSpec::V100_16GB(scale);
-  if (name == "test") return sim::DeviceSpec::TestDevice();
-  return Status(ErrorCode::kInvalidArgument,
-                "unknown device '" + name + "' (a100, v100, test)");
 }
 
 void PrintOutcome(const dgcf::RunResult& run, const sim::DeviceSpec& spec,
@@ -92,22 +77,6 @@ void PrintOutcome(const dgcf::RunResult& run, const sim::DeviceSpec& spec,
   for (const std::string& f : run.failures) {
     std::fprintf(stderr, "device failure: %s\n", f.c_str());
   }
-}
-
-/// Finds a `-x <value>` / `--long <value>` integer among the loader args
-/// (the tool does not re-parse them; it only needs a couple of values for
-/// the metrics header). Returns `fallback` when absent or malformed.
-std::int64_t PeekLoaderInt(const std::vector<std::string>& loader_args,
-                           const std::string& short_flag,
-                           const std::string& long_flag,
-                           std::int64_t fallback) {
-  for (std::size_t i = 0; i + 1 < loader_args.size(); ++i) {
-    if (loader_args[i] == short_flag || loader_args[i] == long_flag) {
-      auto v = ParseInt(loader_args[i + 1]);
-      if (v.ok()) return *v;
-    }
-  }
-  return fallback;
 }
 
 /// --profile: human-readable per-instance summary plus the timeline's peak
@@ -171,93 +140,43 @@ void PrintProfile(const dgcf::RunResult& run, const sim::Profiler& profiler) {
 /// at each instance count (first must be 1 — it defines T1) on a fresh
 /// device per point, `jobs` points concurrently, and prints the paper-style
 /// speedup table. Output is identical for every job count.
-int RunSweepMode(const std::string& app,
-                 const std::vector<std::string>& loader_args,
+int RunSweepMode(const ensemble::LoaderArgs& loader,
                  const std::vector<std::uint32_t>& counts, std::uint32_t jobs,
                  const std::string& csv_path, const sim::DeviceSpec& spec,
                  bool profile, const std::string& metrics_prefix,
                  std::uint64_t profile_interval) {
-  std::string file;
-  std::int64_t threads = 1024, per_block = 1, seed = 0;
-  bool script = false;
-  std::string inject;
-  std::int64_t watchdog = 0, instance_watchdog = 0;
-  std::int64_t retry = 1, retry_shrink = 2;
-  std::string share_data = "on";
-  ArgParser parser("ensemble sweep (Fig. 6 methodology)");
-  parser.AddString("file", 'f', "command line arguments file", &file,
-                   /*required=*/true)
-      .AddInt("thread-limit", 't', "max threads per instance", &threads)
-      .AddInt("teams-per-block", 'm', "instances per thread block (§3.1)",
-              &per_block)
-      .AddFlag("script", 0, "treat the file as an argument script", &script)
-      .AddInt("seed", 0, "argument-script random seed", &seed)
-      .AddString("inject", 0, "deterministic fault-injection spec", &inject)
-      .AddInt("watchdog", 0, "launch cycle budget (0 = device default)",
-              &watchdog)
-      .AddInt("instance-watchdog", 0, "per-instance cycle budget (0 = off)",
-              &instance_watchdog)
-      .AddInt("retry", 0, "max launch attempts per failed instance", &retry)
-      .AddInt("retry-shrink", 0, "team-cap divisor per retry wave",
-              &retry_shrink)
-      .AddString("share-data", 0,
-                 "share read-only input data across identical instances "
-                 "(on|off, default on)",
-                 &share_data);
-  const Status parsed = parser.Parse(loader_args);
-  if (!parsed.ok()) {
-    std::fprintf(stderr, "dgc-run: %s\n", parsed.ToString().c_str());
-    return 2;
-  }
-  if (share_data != "on" && share_data != "off") {
-    std::fprintf(stderr, "dgc-run: --share-data must be 'on' or 'off'\n");
-    return 2;
-  }
-  if (threads <= 0 || per_block <= 0 || watchdog < 0 ||
-      instance_watchdog < 0 || retry <= 0 || retry_shrink < 0) {
-    std::fprintf(stderr, "dgc-run: counts must be positive\n");
-    return 2;
-  }
-
-  auto lines = script ? [&]() -> StatusOr<std::vector<std::vector<std::string>>> {
-    std::ifstream in(file, std::ios::binary);
-    if (!in) {
-      return Status(ErrorCode::kNotFound, "cannot open script file: " + file);
-    }
-    std::ostringstream buffer;
-    buffer << in.rdbuf();
-    return ensemble::ExpandScriptToArgs(buffer.str(), std::uint64_t(seed));
-  }()
-                      : ensemble::LoadArgumentFile(file);
-  if (!lines.ok()) {
-    std::fprintf(stderr, "dgc-run: %s\n", lines.status().ToString().c_str());
+  const ensemble::EnsembleOptions& opt = loader.options;
+  if (opt.num_instances != 0 || opt.num_teams != 0) {
+    std::fprintf(stderr,
+                 "dgc-run: --sweep sets each point's instance count; drop "
+                 "-n/--teams\n");
     return 2;
   }
   std::uint32_t max_count = 0;
   for (std::uint32_t n : counts) max_count = std::max(max_count, n);
-  if (max_count > lines->size()) {
+  if (max_count > opt.instance_args.size()) {
     std::fprintf(stderr,
-                 "dgc-run: --sweep needs %u argument lines but '%s' provides "
-                 "only %zu\n",
-                 max_count, file.c_str(), lines->size());
+                 "dgc-run: --sweep needs %u argument lines but the argument "
+                 "file provides only %zu\n",
+                 max_count, opt.instance_args.size());
     return 2;
   }
 
   ensemble::ExperimentConfig cfg;
-  cfg.app = app;
-  cfg.args_for_instance = [lines = *lines](std::uint32_t i) {
+  cfg.app = opt.app;
+  cfg.args_for_instance = [lines = opt.instance_args](std::uint32_t i) {
     return lines[i];
   };
   cfg.instance_counts = counts;
-  cfg.thread_limit = std::uint32_t(threads);
-  cfg.teams_per_block = std::uint32_t(per_block);
+  cfg.thread_limit = opt.thread_limit;
+  cfg.teams_per_block = opt.teams_per_block;
   cfg.spec = spec;
-  cfg.inject_spec = inject;  // parsed fresh per point (determinism)
-  cfg.watchdog_cycles = std::uint64_t(watchdog);
-  cfg.instance_watchdog_cycles = std::uint64_t(instance_watchdog);
-  cfg.max_attempts = std::uint32_t(retry);
-  cfg.retry_shrink = std::uint32_t(retry_shrink);
-  cfg.share_data = share_data == "on";
+  cfg.inject_spec = loader.inject;  // parsed fresh per point (determinism)
+  cfg.watchdog_cycles = opt.watchdog_cycles;
+  cfg.instance_watchdog_cycles = opt.instance_watchdog_cycles;
+  cfg.max_attempts = opt.max_attempts;
+  cfg.retry_shrink = opt.retry_shrink;
+  cfg.share_data = opt.share_data;
   cfg.profile = profile || !metrics_prefix.empty();
   cfg.profile_interval = profile_interval;
 
@@ -277,7 +196,7 @@ int RunSweepMode(const std::string& app,
     return 2;
   }
   std::printf("%s speedup sweep, thread limit %u, device %s\n\n",
-              app.c_str(), cfg.thread_limit, spec.name.c_str());
+              cfg.app.c_str(), cfg.thread_limit, spec.name.c_str());
   std::printf("%s", ensemble::FormatSpeedupTable({*series}).c_str());
   for (const ensemble::SpeedupPoint& p : series->points) {
     if (!p.ran && !p.note.empty()) {
@@ -324,10 +243,11 @@ int main(int argc, char** argv) {
         "       dgc-run --list                   list registered apps\n\n"
         "options forwarded to the ensemble loader:\n"
         "  -f <file>      command line arguments file (required)\n"
-        "  -n <count>     instances to launch simultaneously\n"
+        "  -n <count>     instances to launch simultaneously (not with\n"
+        "                 --sweep, which sets the count of each point)\n"
         "  -t <threads>   thread limit per instance (default 1024)\n"
         "  -m <count>     instances per thread block (default 1)\n"
-        "  --teams <n>    teams (default: one per instance)\n"
+        "  --teams <n>    teams (default: one per instance; not with --sweep)\n"
         "  --script       treat -f file as an argument script\n"
         "  --seed <n>     argument-script random seed\n"
         "  --inject <spec>  deterministic fault injection, e.g.\n"
@@ -343,7 +263,7 @@ int main(int argc, char** argv) {
         "  --share-data <on|off>  share read-only input segments across\n"
         "                 instances with identical workloads (default on;\n"
         "                 off reproduces the duplicated per-instance layout)\n\n"
-        "tool options (must precede the loader options):\n"
+        "tool options (accepted anywhere after <app>):\n"
         "  --device <d>   a100 (default), v100, or test\n"
         "  --memory-scale <n>  capacity scale divisor (default 512)\n"
         "  --stats        print simulator statistics\n"
@@ -372,7 +292,7 @@ int main(int argc, char** argv) {
   const std::string app = args[0];
   args.erase(args.begin());
 
-  // Split off tool options (anything before the first loader flag we know).
+  // Split off the tool options; everything else belongs to the loader.
   std::string device_name = "a100";
   std::string trace_path;
   std::string csv_path;
@@ -443,31 +363,22 @@ int main(int argc, char** argv) {
     }
   }
 
-  // Validate any --inject plan up front, before a device is built, files
-  // are read, or sweep points spin up: a typo in the fault grammar must be
-  // a usage error, not a mid-run abort.
-  for (std::size_t i = 0; i + 1 < loader_args.size(); ++i) {
-    if (loader_args[i] != "--inject") continue;
-    if (auto plan = sim::FaultPlan::Parse(loader_args[i + 1]); !plan.ok()) {
-      std::fprintf(stderr,
-                   "dgc-run: bad --inject spec: %s\n"
-                   "usage: --inject "
-                   "'seed@7;malloc-fail@3;trap@b0.w1.c5000' (see docs/"
-                   "MODEL.md, Failure semantics)\n",
-                   plan.status().ToString().c_str());
-      return 2;
-    }
+  // Parse the loader's command line once, before any device exists: a bad
+  // flag, value or --inject spec is a usage error in either mode.
+  auto loader = ensemble::ParseLoaderArgs(app, loader_args);
+  if (!loader.ok()) {
+    std::fprintf(stderr, "dgc-run: %s\n", loader.status().ToString().c_str());
+    return 2;
   }
-
-  auto spec = PickDevice(device_name, memory_scale);
+  auto spec =
+      sim::DeviceSpec::ByName(device_name, std::uint32_t(memory_scale));
   if (!spec.ok()) {
     std::fprintf(stderr, "%s\n", spec.status().ToString().c_str());
     return 2;
   }
   if (!sweep_counts.empty()) {
-    return RunSweepMode(app, loader_args, sweep_counts, jobs, csv_path, *spec,
-                        profile, metrics_path,
-                        std::uint64_t(profile_interval));
+    return RunSweepMode(*loader, sweep_counts, jobs, csv_path, *spec, profile,
+                        metrics_path, std::uint64_t(profile_interval));
   }
   sim::Device device(*spec);
   dgcf::RpcHost rpc(device);
@@ -483,10 +394,11 @@ int main(int argc, char** argv) {
     profiler_options.sample_interval = std::uint64_t(profile_interval);
   }
   sim::Profiler profiler(profiler_options);
-  auto run = ensemble::RunEnsembleCli(env, app, loader_args,
-                                      trace_path.empty() ? nullptr : &trace,
-                                      memcheck_on ? &memcheck : nullptr,
-                                      profiling ? &profiler : nullptr);
+  ensemble::EnsembleOptions& options = loader->options;
+  options.trace = trace_path.empty() ? nullptr : &trace;
+  options.memcheck = memcheck_on ? &memcheck : nullptr;
+  options.profiler = profiling ? &profiler : nullptr;
+  auto run = ensemble::RunLoaderArgs(env, *loader);
   if (!run.ok()) {
     std::fprintf(stderr, "dgc-run: %s\n", run.status().ToString().c_str());
     return 2;
@@ -497,11 +409,9 @@ int main(int argc, char** argv) {
     ensemble::MetricsInfo info;
     info.app = app;
     info.device = spec->name;
-    info.thread_limit = std::uint32_t(
-        PeekLoaderInt(loader_args, "-t", "--thread-limit", 1024));
+    info.thread_limit = options.thread_limit;
     info.instances = std::uint32_t(run->instances.size());
-    info.teams_per_block = std::uint32_t(
-        PeekLoaderInt(loader_args, "-m", "--teams-per-block", 1));
+    info.teams_per_block = options.teams_per_block;
     const Status s =
         ensemble::WriteMetricsJson(metrics_path, info, *run, &profiler);
     if (!s.ok()) {

@@ -49,16 +49,6 @@ void InstallDrainHandler() {
   sigaction(SIGINT, &action, nullptr);
 }
 
-StatusOr<sim::DeviceSpec> PickDevice(const std::string& name,
-                                     std::int64_t memory_scale) {
-  const std::uint32_t scale = std::uint32_t(memory_scale);
-  if (name == "a100") return sim::DeviceSpec::A100_40GB(scale);
-  if (name == "v100") return sim::DeviceSpec::V100_16GB(scale);
-  if (name == "test") return sim::DeviceSpec::TestDevice();
-  return Status(ErrorCode::kInvalidArgument,
-                "unknown device '" + name + "' (a100, v100, test)");
-}
-
 int Usage(int code) {
   std::printf(
       "usage: dgc-serve --stream <file> [options]\n"
@@ -255,7 +245,8 @@ int main(int argc, char** argv) {
   }
 
   serve::ServeConfig config;
-  auto spec = PickDevice(device_name, memory_scale);
+  auto spec =
+      sim::DeviceSpec::ByName(device_name, std::uint32_t(memory_scale));
   if (!spec.ok()) {
     std::fprintf(stderr, "dgc-serve: %s\n\n", spec.status().ToString().c_str());
     return Usage(2);
