@@ -2,8 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
-#include <map>
-#include <mutex>
+#include <tuple>
 
 #include "apps/common.h"
 #include "dgcf/rpc.h"
@@ -133,20 +132,9 @@ void RsSampleLookup(const RsParams& params, std::uint64_t lookup,
   material = std::uint32_t(sm.Next() % params.n_materials);
 }
 
-std::uint64_t RsHostReference(const RsParams& params) {
-  using Key = std::tuple<std::uint32_t, std::uint32_t, std::uint32_t,
-                         std::uint32_t, std::uint32_t, std::uint64_t>;
-  // Guarded: concurrent sweep points verify against the cache (a miss
-  // recomputes outside the lock — deterministic, so duplicates agree).
-  static std::mutex memo_mutex;
-  static std::map<Key, std::uint64_t> memo;
-  const Key key{params.n_nuclides, params.n_windows, params.poles_per_window,
-                params.n_materials, params.n_lookups, params.seed};
-  {
-    std::lock_guard<std::mutex> lock(memo_mutex);
-    if (auto it = memo.find(key); it != memo.end()) return it->second;
-  }
+namespace {
 
+std::uint64_t ComputeRsReference(const RsParams& params) {
   const RsData data = GenerateRsData(params);
   std::uint64_t verification = 0;
   for (std::uint64_t l = 0; l < params.n_lookups; ++l) {
@@ -175,9 +163,18 @@ std::uint64_t RsHostReference(const RsParams& params) {
     }
     verification ^= HashSigmas(sig_t, sig_a);
   }
-  std::lock_guard<std::mutex> lock(memo_mutex);
-  memo.emplace(key, verification);
   return verification;
+}
+
+}  // namespace
+
+std::uint64_t RsHostReference(const RsParams& params) {
+  using Key = std::tuple<std::uint32_t, std::uint32_t, std::uint32_t,
+                         std::uint32_t, std::uint32_t, std::uint64_t>;
+  static ReferenceMemo<Key> memo;
+  const Key key{params.n_nuclides, params.n_windows, params.poles_per_window,
+                params.n_materials, params.n_lookups, params.seed};
+  return memo.Get(key, [&] { return ComputeRsReference(params); });
 }
 
 namespace {
@@ -240,48 +237,19 @@ DeviceTask<int> RsUserMain(AppEnv& env, ompx::TeamCtx& team, int argc,
   ThreadCtx& ctx = *team.hw;
 
   const RsData data = GenerateRsData(params);
-  const std::uint64_t sizes[6] = {
-      data.poles.size() * sizeof(double),
-      data.fits.size() * sizeof(double),
-      data.mat_offset.size() * sizeof(std::uint32_t),
-      data.mat_nuclide.size() * sizeof(std::uint32_t),
-      data.mat_density.size() * sizeof(double),
-      params.n_lookups * sizeof(std::uint64_t),
-  };
-  std::vector<sim::DeviceBuffer> buffers(6);
-  bool fill_inputs = true;
-  if (env.share_data) {
-    // Poles, fits, and material tables are read-only input; only the result
-    // buffer (buffers[5]) stays per-instance.
-    const std::uint64_t key = SharedContentKey(
-        "rsbench", {params.n_nuclides, params.n_windows,
-                    params.poles_per_window, params.n_materials, params.seed});
-    const std::vector<std::uint64_t> ro_sizes(sizes, sizes + 5);
-    auto group = co_await env.libc->AcquireSharedGroup(ctx, key, ro_sizes,
-                                                       "rsbench");
-    if (!group.ok) co_return dgcf::kExitNoMem;
-    for (int b = 0; b < 5; ++b) buffers[b] = group.buffers[std::size_t(b)];
-    fill_inputs = group.first;
-    buffers[5] = co_await env.libc->Malloc(ctx, sizes[5]);
-    if (buffers[5].host == nullptr) {
-      for (const auto& f : group.buffers) {
-        if (f.host != nullptr) co_await env.libc->Free(ctx, f.addr);
-      }
-      co_return dgcf::kExitNoMem;
-    }
-  } else {
-    for (int b = 0; b < 6; ++b) {
-      buffers[b] = co_await env.libc->Malloc(ctx, sizes[b]);
-    }
-    for (const auto& b : buffers) {
-      if (b.host == nullptr) {
-        for (const auto& f : buffers) {
-          if (f.host != nullptr) co_await env.libc->Free(ctx, f.addr);
-        }
-        co_return dgcf::kExitNoMem;
-      }
-    }
-  }
+  // Poles, fits, and material tables are read-only input; only the result
+  // buffer stays per-instance.
+  auto allocate = AllocateAppArrays(
+      env, ctx, "rsbench",
+      {params.n_nuclides, params.n_windows, params.poles_per_window,
+       params.n_materials, params.seed},
+      {ReadOnlyArray(data.poles), ReadOnlyArray(data.fits),
+       ReadOnlyArray(data.mat_offset), ReadOnlyArray(data.mat_nuclide),
+       ReadOnlyArray(data.mat_density),
+       PrivateArray<std::uint64_t>(params.n_lookups)});
+  const AppArrays arrays = co_await allocate;
+  if (!arrays.ok) co_return dgcf::kExitNoMem;
+  const std::vector<sim::DeviceBuffer>& buffers = arrays.buffers;
 
   RsView v;
   v.params = params;
@@ -291,20 +259,8 @@ DeviceTask<int> RsUserMain(AppEnv& env, ompx::TeamCtx& team, int argc,
   v.mat_nuclide = buffers[3].Typed<std::uint32_t>();
   v.mat_density = buffers[4].Typed<double>();
   v.out = buffers[5].Typed<std::uint64_t>();
-
-  if (fill_inputs) {
-    std::copy(data.poles.begin(), data.poles.end(), v.poles.host);
-    std::copy(data.fits.begin(), data.fits.end(), v.fits.host);
-    std::copy(data.mat_offset.begin(), data.mat_offset.end(),
-              v.mat_offset.host);
-    std::copy(data.mat_nuclide.begin(), data.mat_nuclide.end(),
-              v.mat_nuclide.host);
-    std::copy(data.mat_density.begin(), data.mat_density.end(),
-              v.mat_density.host);
-    co_await ctx.Work(params.DeviceBytes() / 64);
-  } else {
-    co_await ctx.Work(sizes[5] / 64);
-  }
+  co_await ctx.Work(
+      (arrays.fill_inputs ? params.DeviceBytes() : arrays.private_bytes) / 64);
 
   co_await ompx::ParallelFor(
       team, params.n_lookups,
@@ -312,20 +268,15 @@ DeviceTask<int> RsUserMain(AppEnv& env, ompx::TeamCtx& team, int argc,
         co_await RsDeviceLookup(tctx, v, l);
       });
 
-  std::uint64_t verification = 0;
-  for (std::uint64_t l = 0; l < params.n_lookups; l += sim::detail::kMaxGather) {
-    const std::uint32_t chunk = std::uint32_t(
-        std::min<std::uint64_t>(params.n_lookups - l, sim::detail::kMaxGather));
-    auto results = ctx.LoadRun(v.out + l, chunk);
-    co_await results;
-    for (std::uint32_t j = 0; j < chunk; ++j) verification ^= results.Result(j);
-  }
+  const std::uint64_t verification = co_await FoldResults(
+      ctx, v.out, params.n_lookups, 0,
+      [](std::uint64_t h, std::uint64_t r) { return h ^ r; });
   if (params.verbose) {
     co_await env.rpc->Print(
         ctx, StrFormat("rsbench: %u lookups, verification %016llx\n",
                        params.n_lookups, (unsigned long long)verification));
   }
-  for (const auto& b : buffers) co_await env.libc->Free(ctx, b.addr);
+  co_await FreeAppArrays(env, ctx, buffers);
   co_return verification == RsHostReference(params) ? dgcf::kExitOk : 1;
 }
 

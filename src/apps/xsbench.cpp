@@ -2,19 +2,16 @@
 
 #include <algorithm>
 #include <cmath>
-
-#include <map>
-#include <mutex>
+#include <tuple>
 
 #include "apps/common.h"
 #include "dgcf/rpc.h"
-#include "support/units.h"
-#include "ensemble/loader.h"
 #include "gpusim/ctx.h"
 #include "ompx/team.h"
 #include "support/argparse.h"
 #include "support/rng.h"
 #include "support/str.h"
+#include "support/units.h"
 
 namespace dgc::apps {
 namespace {
@@ -196,25 +193,7 @@ std::uint64_t HashMacroXs(const double macro[kC]) {
   return h;
 }
 
-}  // namespace
-
-std::uint64_t XsHostReference(const XsParams& params) {
-  // Memoized: the ensemble harness re-verifies many instances against the
-  // same handful of parameter sets.
-  using Key = std::tuple<std::uint32_t, std::uint32_t, std::uint32_t,
-                         std::uint32_t, std::uint64_t>;
-  // Guarded: concurrent sweep points verify against the cache. A miss
-  // computes outside the lock (worst case two workers duplicate the same
-  // deterministic value).
-  static std::mutex memo_mutex;
-  static std::map<Key, std::uint64_t> memo;
-  const Key key{params.n_isotopes, params.n_gridpoints, params.n_materials,
-                params.n_lookups, params.seed};
-  {
-    std::lock_guard<std::mutex> lock(memo_mutex);
-    if (auto it = memo.find(key); it != memo.end()) return it->second;
-  }
-
+std::uint64_t ComputeXsReference(const XsParams& params) {
   // The reference uses the canonical per-nuclide index search directly —
   // every acceleration structure must locate the same bracketing index, so
   // the hash is identical for all grid types (and the memo key needs none).
@@ -258,9 +237,18 @@ std::uint64_t XsHostReference(const XsParams& params) {
     }
     verification ^= HashMacroXs(macro);
   }
-  std::lock_guard<std::mutex> lock(memo_mutex);
-  memo.emplace(key, verification);
   return verification;
+}
+
+}  // namespace
+
+std::uint64_t XsHostReference(const XsParams& params) {
+  using Key = std::tuple<std::uint32_t, std::uint32_t, std::uint32_t,
+                         std::uint32_t, std::uint64_t>;
+  static ReferenceMemo<Key> memo;
+  const Key key{params.n_isotopes, params.n_gridpoints, params.n_materials,
+                params.n_lookups, params.seed};
+  return memo.Get(key, [&] { return ComputeXsReference(params); });
 }
 
 namespace {
@@ -379,64 +367,22 @@ DeviceTask<int> XsUserMain(AppEnv& env, ompx::TeamCtx& team, int argc,
   // --- Initialization (the app generates its own data, like XSBench) ------
   const XsData data = GenerateXsData(params);
 
-  // Optional acceleration arrays allocate only when non-empty.
-  std::vector<sim::DeviceBuffer> buffers(8);
-  const std::uint64_t sizes[8] = {
-      data.nuclide_energy.size() * sizeof(double),
-      data.nuclide_xs.size() * sizeof(double),
-      data.union_energy.size() * sizeof(double),
-      data.union_index.size() * sizeof(std::int32_t),
-      data.mat_offset.size() * sizeof(std::uint32_t),
-      data.mat_nuclide.size() * sizeof(std::uint32_t),
-      data.mat_density.size() * sizeof(double),
-      params.n_lookups * sizeof(std::uint64_t),
-  };
-  sim::DeviceBuffer hash_buf{};
-  const std::uint64_t hash_bytes =
-      data.hash_index.size() * sizeof(std::int32_t);
-  // Everything but the result buffer (buffers[7]) is read-only input. With
-  // sharing on, those arrays live in content-keyed shared segments: one
-  // physical copy per identical parameter set across co-resident instances.
-  bool fill_inputs = true;
-  if (env.share_data) {
-    const std::uint64_t key = SharedContentKey(
-        "xsbench", {params.n_isotopes, params.n_gridpoints,
-                    params.n_materials, params.hash_bins,
-                    std::uint64_t(params.grid_type), params.seed});
-    std::vector<std::uint64_t> ro_sizes(sizes, sizes + 7);
-    ro_sizes.push_back(hash_bytes);
-    auto group = co_await env.libc->AcquireSharedGroup(ctx, key, ro_sizes,
-                                                       "xsbench");
-    if (!group.ok) co_return dgcf::kExitNoMem;
-    for (int b = 0; b < 7; ++b) buffers[std::size_t(b)] = group.buffers[std::size_t(b)];
-    hash_buf = group.buffers[7];
-    fill_inputs = group.first;
-    buffers[7] = co_await env.libc->Malloc(ctx, sizes[7]);
-    if (buffers[7].host == nullptr) {
-      for (const auto& f : group.buffers) {
-        if (f.host != nullptr) co_await env.libc->Free(ctx, f.addr);
-      }
-      co_return dgcf::kExitNoMem;
-    }
-  } else {
-    bool oom = false;
-    for (int b = 0; b < 8; ++b) {
-      if (sizes[b] == 0) continue;
-      buffers[std::size_t(b)] = co_await env.libc->Malloc(ctx, sizes[b]);
-      if (buffers[std::size_t(b)].host == nullptr) oom = true;
-    }
-    if (!data.hash_index.empty()) {
-      hash_buf = co_await env.libc->Malloc(ctx, hash_bytes);
-      if (hash_buf.host == nullptr) oom = true;
-    }
-    if (oom) {
-      for (const auto& f : buffers) {
-        if (f.host != nullptr) co_await env.libc->Free(ctx, f.addr);
-      }
-      if (hash_buf.host != nullptr) co_await env.libc->Free(ctx, hash_buf.addr);
-      co_return dgcf::kExitNoMem;
-    }
-  }
+  // Everything but the result buffer is read-only input. hash_index (only
+  // the hash grid allocates it) comes after the result buffer: the request
+  // order fixes every malloc's fault-plan ordinal.
+  auto allocate = AllocateAppArrays(
+      env, ctx, "xsbench",
+      {params.n_isotopes, params.n_gridpoints, params.n_materials,
+       params.hash_bins, std::uint64_t(params.grid_type), params.seed},
+      {ReadOnlyArray(data.nuclide_energy), ReadOnlyArray(data.nuclide_xs),
+       ReadOnlyArray(data.union_energy), ReadOnlyArray(data.union_index),
+       ReadOnlyArray(data.mat_offset), ReadOnlyArray(data.mat_nuclide),
+       ReadOnlyArray(data.mat_density),
+       PrivateArray<std::uint64_t>(params.n_lookups),
+       ReadOnlyArray(data.hash_index)});
+  const AppArrays arrays = co_await allocate;
+  if (!arrays.ok) co_return dgcf::kExitNoMem;
+  const std::vector<sim::DeviceBuffer>& buffers = arrays.buffers;
 
   const auto [emin_it, emax_it] = std::minmax_element(
       data.nuclide_energy.begin(), data.nuclide_energy.end());
@@ -450,41 +396,17 @@ DeviceTask<int> XsUserMain(AppEnv& env, ompx::TeamCtx& team, int argc,
   v.nuclide_xs = buffers[1].Typed<double>();
   v.union_energy = buffers[2].Typed<double>();
   v.union_index = buffers[3].Typed<std::int32_t>();
-  v.hash_index = hash_buf.Typed<std::int32_t>();
   v.mat_offset = buffers[4].Typed<std::uint32_t>();
   v.mat_nuclide = buffers[5].Typed<std::uint32_t>();
   v.mat_density = buffers[6].Typed<double>();
   v.out = buffers[7].Typed<std::uint64_t>();
+  v.hash_index = buffers[8].Typed<std::int32_t>();
 
-  // Fill device data (initialization phase; charged as bulk work rather
-  // than per-element timed stores — see DESIGN.md §4). Attachers to shared
-  // segments skip the input fill — the materializer already did it — and
-  // pay only for their private result buffer.
-  if (fill_inputs) {
-    std::copy(data.nuclide_energy.begin(), data.nuclide_energy.end(),
-              v.nuclide_energy.host);
-    std::copy(data.nuclide_xs.begin(), data.nuclide_xs.end(),
-              v.nuclide_xs.host);
-    if (!data.union_energy.empty()) {
-      std::copy(data.union_energy.begin(), data.union_energy.end(),
-                v.union_energy.host);
-      std::copy(data.union_index.begin(), data.union_index.end(),
-                v.union_index.host);
-    }
-    if (!data.hash_index.empty()) {
-      std::copy(data.hash_index.begin(), data.hash_index.end(),
-                v.hash_index.host);
-    }
-    std::copy(data.mat_offset.begin(), data.mat_offset.end(),
-              v.mat_offset.host);
-    std::copy(data.mat_nuclide.begin(), data.mat_nuclide.end(),
-              v.mat_nuclide.host);
-    std::copy(data.mat_density.begin(), data.mat_density.end(),
-              v.mat_density.host);
-    co_await ctx.Work(params.DeviceBytes() / 64);
-  } else {
-    co_await ctx.Work(sizes[7] / 64);
-  }
+  // The input fill is charged as bulk work rather than per-element timed
+  // stores (DESIGN.md §4). Attachers to shared inputs pay only for their
+  // private result buffer.
+  co_await ctx.Work(
+      (arrays.fill_inputs ? params.DeviceBytes() : arrays.private_bytes) / 64);
 
   // --- The measured kernel: lookups across the team's threads -------------
   co_await ompx::ParallelFor(
@@ -494,24 +416,16 @@ DeviceTask<int> XsUserMain(AppEnv& env, ompx::TeamCtx& team, int argc,
       });
 
   // --- Verification: fold the per-lookup hashes (sequential epilogue) -----
-  std::uint64_t verification = 0;
-  for (std::uint64_t l = 0; l < params.n_lookups; l += sim::detail::kMaxGather) {
-    const std::uint32_t chunk = std::uint32_t(
-        std::min<std::uint64_t>(params.n_lookups - l, sim::detail::kMaxGather));
-    auto results = ctx.LoadRun(v.out + l, chunk);
-    co_await results;
-    for (std::uint32_t j = 0; j < chunk; ++j) verification ^= results.Result(j);
-  }
+  const std::uint64_t verification = co_await FoldResults(
+      ctx, v.out, params.n_lookups, 0,
+      [](std::uint64_t h, std::uint64_t r) { return h ^ r; });
   if (params.verbose) {
     co_await env.rpc->Print(
         ctx, StrFormat("xsbench: %u lookups, verification %016llx\n",
                        params.n_lookups, (unsigned long long)verification));
   }
 
-  for (const auto& b : buffers) {
-    if (b.host != nullptr) co_await env.libc->Free(ctx, b.addr);
-  }
-  if (hash_buf.host != nullptr) co_await env.libc->Free(ctx, hash_buf.addr);
+  co_await FreeAppArrays(env, ctx, buffers);
   // Exit code encodes the verification outcome against the host reference.
   co_return verification == XsHostReference(params) ? dgcf::kExitOk : 1;
 }

@@ -42,8 +42,9 @@ struct AppEnv {
   DeviceLibc* libc = nullptr;
   /// When true, apps place their initialized read-only inputs in
   /// content-keyed shared segments (DeviceLibc::AcquireSharedGroup) so
-  /// identical instances map one physical copy. Off by default: the
-  /// duplicated layout is the paper's baseline.
+  /// identical instances map one physical copy. The bundled apps read it
+  /// only through apps::AllocateAppArrays. Off by default: the duplicated
+  /// layout is the paper's baseline.
   bool share_data = false;
 };
 

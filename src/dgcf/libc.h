@@ -70,6 +70,10 @@ class DeviceLibc {
   /// `content_key` and its ordinal. Charges one heap operation per array.
   /// On partial OOM every acquired segment is released and ok is false.
   /// Each buffer is released with an ordinary Free (reference-counted).
+  /// A materializer (`first`) must fill the group before its next
+  /// suspension: replicas attaching after that point skip the fill, and
+  /// rely on it even if the materializer later fails and frees its
+  /// references.
   sim::DeviceTask<SharedGroup> AcquireSharedGroup(
       sim::ThreadCtx& ctx, std::uint64_t content_key,
       const std::vector<std::uint64_t>& sizes, const char* label);

@@ -203,6 +203,27 @@ TEST_F(AppsTest, PagerankMultipleIterationsVerify) {
   EXPECT_EQ(RunSingle("pagerank", {"-g", "1000", "-d", "4", "-k", "3"}), 0);
 }
 
+// The host-reference memo keys on the exact damping factor: an ensemble
+// whose instances differ only in the tenth decimal of -a must verify each
+// against its own reference, as each does alone.
+TEST_F(AppsTest, PagerankNearbyDampingFactorsKeepSeparateReferences) {
+  const std::vector<std::string> base{"-g", "500", "-d", "4", "-s", "1",
+                                      "-a"};
+  std::vector<std::string> a = base, b = base;
+  a.push_back("0.85");
+  b.push_back("0.8500000001");
+  Env env;
+  ensemble::EnsembleOptions opt;
+  opt.app = "pagerank";
+  opt.instance_args = {a, b};
+  opt.thread_limit = 32;
+  auto run = ensemble::RunEnsemble(env.app_env, opt);
+  ASSERT_TRUE(run.ok()) << run.status().ToString();
+  for (const auto& inst : run->instances) EXPECT_EQ(inst.exit_code, 0);
+  EXPECT_EQ(RunSingle("pagerank", a, 32), 0);
+  EXPECT_EQ(RunSingle("pagerank", b, 32), 0);
+}
+
 TEST_F(AppsTest, PagerankRanksSumToOneIsh) {
   PrParams p;
   p.n_nodes = 5000;

@@ -4,6 +4,8 @@
 // distinct workloads, and the exported per-instance memory accounting.
 #include <gtest/gtest.h>
 
+#include <tuple>
+
 #include "apps/common.h"
 #include "dgcf/libc.h"
 #include "dgcf/rpc.h"
@@ -283,6 +285,86 @@ TEST(SharedEnsemble, RetryWithSharedDataIsDeterministic) {
   EXPECT_EQ(a->device_mem.shared_attaches, b->device_mem.shared_attaches);
   EXPECT_EQ(a->device_mem.peak_bytes, b->device_mem.peak_bytes);
 }
+
+// Startup unwind at every allocation ordinal: a replica ensemble (two
+// identical instances plus one distinct) with the k-th device malloc failing,
+// for every k up to one past the last allocation. Only the instance whose
+// malloc failed may stop, and it must exit ENOMEM having released all it
+// held. In particular, a materializer that fails after replicas attached to
+// its shared inputs must not leave them computing on unfilled segments.
+class SharedUnwind
+    : public testing::TestWithParam<std::tuple<std::string, bool>> {};
+
+std::vector<std::string> UnwindArgs(const std::string& app, int seed) {
+  std::vector<std::string> args;
+  if (app == "xsbench") args = {"-i", "8", "-g", "64", "-l", "256"};
+  if (app == "rsbench") args = {"-u", "6", "-w", "4", "-l", "64"};
+  if (app == "amgmk") args = {"-x", "6", "-y", "6", "-z", "6"};
+  if (app == "pagerank") args = {"-g", "500", "-d", "4"};
+  args.push_back("-s");
+  args.push_back(StrFormat("%d", seed));
+  return args;
+}
+
+TEST_P(SharedUnwind, OnlyTheFaultedInstanceFailsAndNothingLeaks) {
+  const auto [app, share] = GetParam();
+  apps::RegisterAllApps();
+  for (std::uint64_t k = 1;; ++k) {
+    SCOPED_TRACE(StrFormat("malloc-fail@%llu", (unsigned long long)k));
+    Device device(DeviceSpec::TestDevice());
+    dgcf::RpcHost rpc(device);
+    dgcf::DeviceLibc libc(device);
+    AppEnv env{&device, &rpc, &libc};
+    sim::Memcheck memcheck;
+    auto plan = *sim::FaultPlan::Parse(
+        StrFormat("malloc-fail@%llu", (unsigned long long)k));
+    libc.set_fault_plan(&plan);
+
+    EnsembleOptions opt;
+    opt.app = app;
+    opt.instance_args = {UnwindArgs(app, 1), UnwindArgs(app, 1),
+                         UnwindArgs(app, 2)};
+    opt.thread_limit = 32;
+    opt.share_data = share;
+    opt.memcheck = &memcheck;
+    opt.faults = &plan;
+    auto run = RunEnsemble(env, opt);
+    ASSERT_TRUE(run.ok()) << run.status().ToString();
+
+    int failed = 0;
+    for (std::size_t i = 0; i < run->instances.size(); ++i) {
+      const auto& inst = run->instances[i];
+      EXPECT_TRUE(inst.completed) << "instance " << i;
+      if (inst.exit_code == dgcf::kExitOk) continue;
+      ++failed;
+      EXPECT_EQ(inst.exit_code, dgcf::kExitNoMem) << "instance " << i;
+    }
+    EXPECT_LE(failed, 1);
+    EXPECT_EQ(libc.live_allocations(), 0u);
+    EXPECT_EQ(run->device_mem.shared_live, 0u);
+    EXPECT_TRUE(run->memcheck.clean()) << run->memcheck.ToString();
+    // Past the last allocation nothing fails: the sweep is complete.
+    if (libc.failed_allocations() == 0) {
+      EXPECT_GT(k, 3u);
+      EXPECT_EQ(failed, 0);
+      break;
+    }
+    EXPECT_EQ(failed, 1);
+  }
+}
+
+std::string UnwindName(
+    const testing::TestParamInfo<SharedUnwind::ParamType>& param_info) {
+  return std::get<0>(param_info.param) +
+         (std::get<1>(param_info.param) ? "_shared" : "_duplicated");
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Apps, SharedUnwind,
+    testing::Combine(testing::Values(std::string("xsbench"), "rsbench",
+                                     "amgmk", "pagerank"),
+                     testing::Bool()),
+    UnwindName);
 
 }  // namespace
 }  // namespace dgc::ensemble
