@@ -23,13 +23,11 @@ int main(int argc, char** argv) {
   std::vector<ensemble::ExperimentConfig> configs;
   for (double bw : bandwidths) {
     ensemble::ExperimentConfig cfg;
-    cfg.app = "amgmk";
-    cfg.args_for_instance = [](std::uint32_t i) {
-      return std::vector<std::string>{"-x", "14", "-y", "14", "-z", "14",
-                                      "-s", StrFormat("%u", i + 1)};
-    };
+    cfg.run.app = "amgmk";
+    cfg.run.instance_args =
+        bench::SeededRows({"-x", "14", "-y", "14", "-z", "14"}, 32);
+    cfg.run.thread_limit = 1024;
     cfg.instance_counts = {1, 32};
-    cfg.thread_limit = 1024;
     cfg.spec = sim::DeviceSpec::A100_40GB(512);
     cfg.spec.dram_bytes_per_cycle = bw;
     configs.push_back(std::move(cfg));

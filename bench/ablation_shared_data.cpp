@@ -74,12 +74,12 @@ int main(int argc, char** argv) {
   for (const AblationApp& a : apps_list) {
     for (const bool share : {false, true}) {
       ensemble::ExperimentConfig cfg;
-      cfg.app = a.app;
-      cfg.args_for_instance = [args = a.args](std::uint32_t) { return args; };
+      cfg.run.app = a.app;
+      cfg.run.instance_args.assign(Counts().back(), a.args);
+      cfg.run.thread_limit = 32;
+      cfg.run.share_data = share;
       cfg.instance_counts = Counts();
-      cfg.thread_limit = 32;
       cfg.spec = bench::Fig6Spec();
-      cfg.share_data = share;
       configs.push_back(std::move(cfg));
     }
   }

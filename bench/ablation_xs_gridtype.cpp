@@ -29,15 +29,13 @@ int main(int argc, char** argv) {
   std::vector<ensemble::ExperimentConfig> configs;
   for (apps::XsGridType type : types) {
     ensemble::ExperimentConfig cfg;
-    cfg.app = "xsbench";
-    cfg.args_for_instance = [type](std::uint32_t i) {
-      return std::vector<std::string>{
-          "-i", "24", "-g", "256", "-l", "2048",
-          "-G", std::string(apps::ToString(type)),
-          "-s", StrFormat("%u", i + 1)};
-    };
+    cfg.run.app = "xsbench";
+    cfg.run.instance_args = bench::SeededRows(
+        {"-i", "24", "-g", "256", "-l", "2048", "-G",
+         std::string(apps::ToString(type))},
+        32);
+    cfg.run.thread_limit = 32;
     cfg.instance_counts = {1, 32};
-    cfg.thread_limit = 32;
     cfg.spec = sim::DeviceSpec::A100_40GB(512);
     configs.push_back(std::move(cfg));
   }

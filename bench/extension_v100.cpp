@@ -18,20 +18,11 @@ int main(int argc, char** argv) {
 
   struct Row {
     const char* app;
-    std::function<std::vector<std::string>(std::uint32_t)> args;
+    std::vector<std::string> args;  ///< before the per-instance seed
   };
   const std::vector<Row> rows = {
-      {"xsbench",
-       [](std::uint32_t i) {
-         return std::vector<std::string>{"-i", "24",   "-g", "256",
-                                         "-l", "2048", "-s",
-                                         StrFormat("%u", i + 1)};
-       }},
-      {"amgmk",
-       [](std::uint32_t i) {
-         return std::vector<std::string>{"-x", "14", "-y", "14", "-z", "14",
-                                         "-s", StrFormat("%u", i + 1)};
-       }},
+      {"xsbench", {"-i", "24", "-g", "256", "-l", "2048"}},
+      {"amgmk", {"-x", "14", "-y", "14", "-z", "14"}},
   };
 
   std::printf("A100 vs V100 ensembles, thread limit 1024, speedup at 64 "
@@ -44,10 +35,10 @@ int main(int argc, char** argv) {
     for (const sim::DeviceSpec& spec :
          {sim::DeviceSpec::A100_40GB(512), sim::DeviceSpec::V100_16GB(204)}) {
       ensemble::ExperimentConfig cfg;
-      cfg.app = row.app;
-      cfg.args_for_instance = row.args;
+      cfg.run.app = row.app;
+      cfg.run.instance_args = bench::SeededRows(row.args, 64);
+      cfg.run.thread_limit = 1024;
       cfg.instance_counts = {1, 64};
-      cfg.thread_limit = 1024;
       cfg.spec = spec;
       configs.push_back(std::move(cfg));
     }

@@ -70,42 +70,36 @@ inline ensemble::SweepOptions PanelSweepOptions(std::uint32_t jobs) {
 
 inline sim::DeviceSpec Fig6Spec() { return sim::DeviceSpec::A100_40GB(512); }
 
+/// `count` argument rows of `args`, row i seeded `-s i+1`: each instance
+/// runs on a different input, as ensembles do (§1).
+inline std::vector<std::vector<std::string>> SeededRows(
+    const std::vector<std::string>& args, std::uint32_t count) {
+  std::vector<std::vector<std::string>> rows(count, args);
+  for (std::uint32_t i = 0; i < count; ++i) {
+    rows[i].push_back("-s");
+    rows[i].push_back(StrFormat("%u", i + 1));
+  }
+  return rows;
+}
+
 struct Fig6Benchmark {
   const char* app;
-  std::function<std::vector<std::string>(std::uint32_t)> args_for_instance;
-  std::vector<std::uint32_t> instance_counts;
+  std::vector<std::string> args;  ///< argv[1..] before the per-instance seed
+  std::vector<std::uint32_t> instance_counts;  ///< ascending
 };
 
-/// The paper's four benchmarks with per-instance seeds (each instance runs
-/// on a different input, §1). Page-Rank includes the 8-instance point so
-/// the harness demonstrates the out-of-memory boundary the paper reports.
+/// The paper's four benchmarks; every instance gets its own seed. Page-Rank
+/// includes the 8-instance point so the harness demonstrates the
+/// out-of-memory boundary the paper reports.
 inline std::vector<Fig6Benchmark> Fig6Benchmarks() {
   return {
-      {"xsbench",
-       [](std::uint32_t i) {
-         return std::vector<std::string>{"-i", "24",   "-g", "256",
-                                         "-l", "2048", "-s", StrFormat("%u", i + 1)};
-       },
+      {"xsbench", {"-i", "24", "-g", "256", "-l", "2048"},
        {1, 2, 4, 8, 16, 32, 64}},
-      {"rsbench",
-       [](std::uint32_t i) {
-         return std::vector<std::string>{"-u", "24", "-w", "16",
-                                         "-p", "8",  "-l", "2048",
-                                         "-s", StrFormat("%u", i + 1)};
-       },
+      {"rsbench", {"-u", "24", "-w", "16", "-p", "8", "-l", "2048"},
        {1, 2, 4, 8, 16, 32, 64}},
-      {"amgmk",
-       [](std::uint32_t i) {
-         return std::vector<std::string>{"-x", "14", "-y", "14", "-z", "14",
-                                         "-s", StrFormat("%u", i + 1)};
-       },
+      {"amgmk", {"-x", "14", "-y", "14", "-z", "14"},
        {1, 2, 4, 8, 16, 32, 64}},
-      {"pagerank",
-       [](std::uint32_t i) {
-         return std::vector<std::string>{"-g", "200000", "-d", "10",
-                                         "-s", StrFormat("%u", i + 1)};
-       },
-       {1, 2, 4, 8}},
+      {"pagerank", {"-g", "200000", "-d", "10"}, {1, 2, 4, 8}},
   };
 }
 
@@ -118,10 +112,10 @@ inline std::vector<ensemble::SpeedupSeries> RunFig6Panel(
   std::vector<ensemble::ExperimentConfig> configs;
   for (const Fig6Benchmark& b : Fig6Benchmarks()) {
     ensemble::ExperimentConfig cfg;
-    cfg.app = b.app;
-    cfg.args_for_instance = b.args_for_instance;
+    cfg.run.app = b.app;
+    cfg.run.instance_args = SeededRows(b.args, b.instance_counts.back());
+    cfg.run.thread_limit = thread_limit;
     cfg.instance_counts = b.instance_counts;
-    cfg.thread_limit = thread_limit;
     cfg.spec = Fig6Spec();
     configs.push_back(std::move(cfg));
   }

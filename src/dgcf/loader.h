@@ -62,6 +62,12 @@ struct InstanceResult {
 
 /// Outcome of a loader run.
 struct RunResult {
+  /// What ran: the application, the device preset and the launch shape
+  /// (the header of the dgc-metrics-v1 document).
+  std::string app;
+  std::string device;
+  std::uint32_t thread_limit = 0;
+  std::uint32_t teams_per_block = 1;
   std::vector<InstanceResult> instances;
   std::uint64_t kernel_cycles = 0;    ///< device execution incl. launch
   std::uint64_t transfer_cycles = 0;  ///< argv mapping + result map(from:)

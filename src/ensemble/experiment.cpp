@@ -1,5 +1,6 @@
 #include "ensemble/experiment.h"
 
+#include <algorithm>
 #include <chrono>
 #include <fstream>
 #include <mutex>
@@ -7,7 +8,6 @@
 #include "dgcf/libc.h"
 #include "dgcf/loader.h"
 #include "dgcf/rpc.h"
-#include "ensemble/loader.h"
 #include "ensemble/metrics.h"
 #include "gpusim/device.h"
 #include "gpusim/profiler.h"
@@ -22,8 +22,19 @@ Status ValidateConfig(const ExperimentConfig& config) {
     return Status(ErrorCode::kInvalidArgument,
                   "instance_counts must start with 1 (defines T1)");
   }
-  if (!config.args_for_instance) {
-    return Status(ErrorCode::kInvalidArgument, "args_for_instance is required");
+  const std::uint32_t max_count = *std::max_element(
+      config.instance_counts.begin(), config.instance_counts.end());
+  if (max_count > config.run.instance_args.size()) {
+    return Status(ErrorCode::kInvalidArgument,
+                  StrFormat("the sweep needs %u argument lines but the run "
+                            "provides only %zu",
+                            max_count, config.run.instance_args.size()));
+  }
+  if (config.run.trace != nullptr || config.run.memcheck != nullptr ||
+      config.run.profiler != nullptr) {
+    return Status(ErrorCode::kInvalidArgument,
+                  "a sweep's run must not carry a trace, memcheck or "
+                  "profiler (points run concurrently; use profile)");
   }
   return Status::Ok();
 }
@@ -42,23 +53,8 @@ Status RunPoint(const ExperimentConfig& config, std::uint32_t n,
   dgcf::DeviceLibc libc(device);
   dgcf::AppEnv env{&device, &rpc, &libc};
 
-  // RunLoaderArgs parses a fresh plan from the spec for every point:
-  // consumption counters must start fresh for every (benchmark × count) so
-  // the sweep is byte-identical for any --jobs value.
-  LoaderArgs args;
-  args.inject = config.inject_spec;
-  EnsembleOptions& options = args.options;
-  options.app = config.app;
-  for (std::uint32_t i = 0; i < n; ++i) {
-    options.instance_args.push_back(config.args_for_instance(i));
-  }
-  options.thread_limit = config.thread_limit;
-  options.teams_per_block = config.teams_per_block;
-  options.watchdog_cycles = config.watchdog_cycles;
-  options.instance_watchdog_cycles = config.instance_watchdog_cycles;
-  options.max_attempts = config.max_attempts;
-  options.retry_shrink = config.retry_shrink;
-  options.share_data = config.share_data;
+  EnsembleOptions options = config.run;
+  options.num_instances = n;
 
   // Profiling is point-local (like the device): the profiler only observes
   // this simulation, so sidecars cannot depend on job scheduling.
@@ -69,7 +65,7 @@ Status RunPoint(const ExperimentConfig& config, std::uint32_t n,
   sim::Profiler profiler(profiler_options);
   if (config.profile) options.profiler = &profiler;
 
-  auto run = RunLoaderArgs(env, args);
+  auto run = RunEnsemble(env, options);
   if (!run.ok()) {
     if (run.status().code() == ErrorCode::kOutOfMemory) {
       point.note = "out of device memory";
@@ -102,15 +98,7 @@ Status RunPoint(const ExperimentConfig& config, std::uint32_t n,
   point.stats = run->stats;
   point.peak_mem_bytes = run->device_mem.peak_bytes;
   point.shared_bytes_saved = run->device_mem.shared_bytes_saved;
-  if (config.profile) {
-    MetricsInfo info;
-    info.app = config.app;
-    info.device = config.spec.name;
-    info.thread_limit = config.thread_limit;
-    info.instances = n;
-    info.teams_per_block = config.teams_per_block;
-    point.metrics_json = FormatMetricsJson(info, *run, &profiler);
-  }
+  if (config.profile) point.metrics_json = FormatMetricsJson(*run, &profiler);
   return Status::Ok();
 }
 
@@ -144,8 +132,8 @@ StatusOr<std::vector<SpeedupSeries>> RunSweeps(
   };
   std::vector<PointJob> flat;
   for (std::size_t s = 0; s < configs.size(); ++s) {
-    all[s].app = configs[s].app;
-    all[s].thread_limit = configs[s].thread_limit;
+    all[s].app = configs[s].run.app;
+    all[s].thread_limit = configs[s].run.thread_limit;
     all[s].points.resize(configs[s].instance_counts.size());
     statuses[s].resize(configs[s].instance_counts.size());
     for (std::size_t k = 0; k < configs[s].instance_counts.size(); ++k) {
@@ -161,8 +149,8 @@ StatusOr<std::vector<SpeedupSeries>> RunSweeps(
     std::lock_guard<std::mutex> lock(progress_mutex);
     SweepPointEvent event;
     event.kind = kind;
-    event.app = configs[job.series].app;
-    event.thread_limit = configs[job.series].thread_limit;
+    event.app = configs[job.series].run.app;
+    event.thread_limit = configs[job.series].run.thread_limit;
     event.instances = job.instances;
     event.points_total = flat.size();
     if (kind == SweepPointEvent::Kind::kStarted) ++started;

@@ -16,6 +16,7 @@
 #include <string>
 #include <vector>
 
+#include "ensemble/loader.h"
 #include "gpusim/device_spec.h"
 #include "gpusim/stats.h"
 #include "support/status.h"
@@ -23,35 +24,23 @@
 namespace dgc::ensemble {
 
 struct ExperimentConfig {
-  std::string app;
-  /// Builds instance i's argv[1..] — each instance runs on a different
-  /// input, as ensembles do.
-  std::function<std::vector<std::string>(std::uint32_t)> args_for_instance;
+  /// The run every point repeats. Point N copies it and sets
+  /// num_instances = N, so it runs the first N argument rows (each
+  /// instance on its own input, as ensembles do) with the same thread
+  /// limit, mapping, sharing, retry policy and fault plan. Each point's
+  /// RunEnsemble call copies the plan, so every point starts with fresh
+  /// consumption counters and the sweep is byte-identical for any --jobs.
+  /// trace, memcheck and profiler must be null: points run concurrently
+  /// (use `profile` for per-point profiling).
+  EnsembleOptions run;
   std::vector<std::uint32_t> instance_counts{1, 2, 4, 8, 16, 32, 64};
-  std::uint32_t thread_limit = 32;
-  std::uint32_t teams_per_block = 1;  ///< §3.1 mapping (1 = paper)
-  sim::DeviceSpec spec;               ///< fresh device per measurement
-  /// Deterministic fault-injection spec (gpusim/faults.h grammar), parsed
-  /// into a FRESH FaultPlan for every sweep point: plans carry consumption
-  /// counters, so sharing one across concurrently-running points would make
-  /// the sweep depend on --jobs. "" = no injection.
-  std::string inject_spec;
-  /// Fault-tolerance knobs forwarded to EnsembleOptions (same semantics).
-  std::uint64_t watchdog_cycles = 0;           ///< 0 = device default
-  std::uint64_t instance_watchdog_cycles = 0;  ///< 0 = off
-  std::uint32_t max_attempts = 1;
-  std::uint32_t retry_shrink = 2;
+  sim::DeviceSpec spec;  ///< fresh device per measurement
   /// Profile every point: each point runs under its own Profiler and fills
   /// SpeedupPoint::metrics_json (the --metrics-json sidecar). Profiling is
   /// deterministic, so sidecars stay byte-identical for any --jobs value.
   bool profile = false;
   /// Timeline sample interval when profiling; 0 = the Profiler default.
   std::uint64_t profile_interval = 0;
-  /// Share read-only input segments across instances with identical
-  /// workloads (EnsembleOptions::share_data). Off by default so existing
-  /// harness binaries (fig6a/fig6b) keep the duplicated per-instance
-  /// layout byte-for-byte.
-  bool share_data = false;
 };
 
 /// Progress of one sweep point, reported as it starts and finishes so long
@@ -106,7 +95,8 @@ struct SpeedupSeries {
   double MaxSpeedup() const;
 };
 
-/// Runs one sweep. The first count must be 1 (it defines T1). A
+/// Runs one sweep. The first count must be 1 (it defines T1) and the run
+/// must provide an argument row for the largest count. A
 /// configuration whose instances cannot all allocate (device OOM) is
 /// recorded as ran=false — the paper's Page-Rank case. A point with any
 /// failed instance (trap, watchdog, nonzero exit) is likewise recorded as

@@ -85,6 +85,23 @@ StatusOr<dgcf::RunResult> RunEnsemble(dgcf::AppEnv& env,
     options.memcheck->Attach(env.device->memory());
   }
 
+  // This call's copy of the fault plan: its consumption counters persist
+  // across the retry waves below and never leak into another call. An
+  // empty plan stays off the launch (null keeps the warp hot path free of
+  // fault checks). The heap and the RPC ring see the copy only while it
+  // lives; the guard detaches it on every return path.
+  sim::FaultPlan faults = options.faults;
+  sim::FaultPlan* const plan = faults.empty() ? nullptr : &faults;
+  struct PlanWiring {
+    dgcf::AppEnv& env;
+    PlanWiring(dgcf::AppEnv& e, sim::FaultPlan* p) : env(e) { Wire(p); }
+    ~PlanWiring() { Wire(nullptr); }
+    void Wire(sim::FaultPlan* p) {
+      if (env.libc != nullptr) env.libc->set_fault_plan(p);
+      if (env.rpc != nullptr) env.rpc->set_fault_plan(p);
+    }
+  } wiring(env, plan);
+
   // Build the device-side argument block (Fig. 4's StringCache/Argc/Argv),
   // prepending argv[0] = app name to every line. Built once; retry waves
   // reuse it.
@@ -102,6 +119,10 @@ StatusOr<dgcf::RunResult> RunEnsemble(dgcf::AppEnv& env,
                        dgcf::ArgvBlock::Build(*env.device, rows));
 
   dgcf::RunResult run;
+  run.app = options.app;
+  run.device = env.device->spec().name;
+  run.thread_limit = options.thread_limit;
+  run.teams_per_block = options.teams_per_block;
   run.instances.resize(ni);
   run.transfer_cycles = argv.transfer_cycles();
   env.share_data = options.share_data;
@@ -142,7 +163,7 @@ StatusOr<dgcf::RunResult> RunEnsemble(dgcf::AppEnv& env,
     cfg.name = wave == 0 ? "ensemble" : "ensemble-retry";
     cfg.trace = options.trace;
     cfg.memcheck = options.memcheck;
-    cfg.faults = options.faults;
+    cfg.faults = plan;
     cfg.profiler = options.profiler;
     cfg.watchdog_cycles = launch_watchdog;
     const std::uint32_t m = options.teams_per_block;
@@ -298,8 +319,8 @@ StatusOr<dgcf::RunResult> RunEnsemble(dgcf::AppEnv& env,
   return run;
 }
 
-StatusOr<LoaderArgs> ParseLoaderArgs(const std::string& app,
-                                     const std::vector<std::string>& argv) {
+StatusOr<EnsembleOptions> ParseLoaderArgs(
+    const std::string& app, const std::vector<std::string>& argv) {
   std::string file;
   std::int64_t instances = 0, threads = 1024, teams = 0, per_block = 1;
   std::int64_t seed = 0;
@@ -307,7 +328,7 @@ StatusOr<LoaderArgs> ParseLoaderArgs(const std::string& app,
   std::int64_t watchdog = 0, instance_watchdog = 0;
   std::int64_t retry = 1, retry_shrink = 2;
   std::string share_data = "on";
-  LoaderArgs args;
+  std::string inject;
   ArgParser parser("GPU ensemble loader (paper Fig. 5c)");
   parser.AddString("file", 'f', "command line arguments file", &file,
                    /*required=*/true)
@@ -319,8 +340,7 @@ StatusOr<LoaderArgs> ParseLoaderArgs(const std::string& app,
               &per_block)
       .AddFlag("script", 0, "treat the file as an argument script", &script)
       .AddInt("seed", 0, "argument-script random seed", &seed)
-      .AddString("inject", 0, "deterministic fault-injection spec",
-                 &args.inject)
+      .AddString("inject", 0, "deterministic fault-injection spec", &inject)
       .AddInt("watchdog", 0, "launch cycle budget (0 = device default)",
               &watchdog)
       .AddInt("instance-watchdog", 0,
@@ -349,15 +369,15 @@ StatusOr<LoaderArgs> ParseLoaderArgs(const std::string& app,
                   "--retry must be positive");
   }
   // A bad --inject spec is a usage error: reject it before any file is read.
-  if (!args.inject.empty()) {
-    if (auto plan = sim::FaultPlan::Parse(args.inject); !plan.ok()) {
-      return Status(ErrorCode::kInvalidArgument,
-                    "bad --inject spec: " + plan.status().message());
-    }
+  auto faults = sim::FaultPlan::Parse(inject);
+  if (!faults.ok()) {
+    return Status(ErrorCode::kInvalidArgument,
+                  "bad --inject spec: " + faults.status().message());
   }
 
-  EnsembleOptions& options = args.options;
+  EnsembleOptions options;
   options.app = app;
+  options.faults = std::move(*faults);
   options.num_instances = std::uint32_t(instances);
   options.thread_limit = std::uint32_t(threads);
   options.num_teams = std::uint32_t(teams);
@@ -380,24 +400,7 @@ StatusOr<LoaderArgs> ParseLoaderArgs(const std::string& app,
   } else {
     DGC_ASSIGN_OR_RETURN(options.instance_args, LoadArgumentFile(file));
   }
-  return args;
-}
-
-StatusOr<dgcf::RunResult> RunLoaderArgs(dgcf::AppEnv& env,
-                                        const LoaderArgs& args) {
-  if (args.inject.empty()) return RunEnsemble(env, args.options);
-  // A fresh plan per run keeps count-based faults deterministic. It is
-  // wired into the heap and the RPC ring and detached before it goes out
-  // of scope.
-  DGC_ASSIGN_OR_RETURN(sim::FaultPlan plan, sim::FaultPlan::Parse(args.inject));
-  EnsembleOptions options = args.options;
-  options.faults = &plan;
-  if (env.libc != nullptr) env.libc->set_fault_plan(&plan);
-  if (env.rpc != nullptr) env.rpc->set_fault_plan(&plan);
-  auto run = RunEnsemble(env, options);
-  if (env.libc != nullptr) env.libc->set_fault_plan(nullptr);
-  if (env.rpc != nullptr) env.rpc->set_fault_plan(nullptr);
-  return run;
+  return options;
 }
 
 }  // namespace dgc::ensemble

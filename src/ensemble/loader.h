@@ -21,6 +21,7 @@
 
 #include "dgcf/app.h"
 #include "dgcf/loader.h"
+#include "gpusim/faults.h"
 #include "support/status.h"
 
 namespace dgc::ensemble {
@@ -46,12 +47,13 @@ struct EnsembleOptions {
   /// currently executing (feeding the §3.3 cross-instance checker), and
   /// returns its findings in RunResult::memcheck.
   sim::Memcheck* memcheck = nullptr;
-  /// Optional deterministic fault-injection plan (gpusim/faults.h). The
-  /// loader forwards it to every launch wave; the same plan object persists
-  /// across retries, so count-based faults fire exactly once and a retry
-  /// can recover the instance they hit. The caller wires the plan into the
-  /// AppEnv's DeviceLibc/RpcHost for heap/RPC faults (RunLoaderArgs does).
-  sim::FaultPlan* faults = nullptr;
+  /// Deterministic fault-injection plan (gpusim/faults.h); empty = off.
+  /// RunEnsemble copies it once per call and wires the copy into every
+  /// launch wave and into the AppEnv's DeviceLibc and RpcHost. The copy
+  /// persists across retry waves, so count-based faults fire exactly once
+  /// and a retry can recover the instance they hit; the options are never
+  /// mutated, so every call injects the same faults.
+  sim::FaultPlan faults;
   /// Launch watchdog: cycle budget for each kernel launch, after which
   /// every still-running lane traps (kWatchdog) and the launch drains.
   /// 0 derives DeviceSpec::DefaultWatchdogCycles().
@@ -96,31 +98,17 @@ struct EnsembleOptions {
 StatusOr<dgcf::RunResult> RunEnsemble(dgcf::AppEnv& env,
                                       const EnsembleOptions& options);
 
-/// The loader's own command line (Fig. 5c), parsed and validated.
-struct LoaderArgs {
-  /// The run the flags describe, with instance_args loaded from the -f file
-  /// (or expanded from it with --script). trace/memcheck/profiler are left
-  /// null for the caller to attach.
-  EnsembleOptions options;
-  /// The --inject FaultPlan spec (gpusim/faults.h grammar), already
-  /// validated; "" = no injection.
-  std::string inject;
-};
-
 /// Fig. 5c front end: parses `-f <file> -n <instances> -t <threads>` (plus
 /// -m/--teams/--script/--seed, `--share-data on|off` — default on — and the
 /// fault-tolerance flags
 /// --inject/--watchdog/--instance-watchdog/--retry/--retry-shrink) for
-/// `app`. Every value and the --inject spec are checked before the argument
-/// file is read through the host filesystem; any problem is an error
-/// Status, so a caller can reject bad usage before building a device.
-StatusOr<LoaderArgs> ParseLoaderArgs(const std::string& app,
-                                     const std::vector<std::string>& argv);
-
-/// Runs a parsed command line: builds a fresh FaultPlan from args.inject,
-/// wires it into the launch, the device libc and the RPC host for the
-/// duration of the run, and calls RunEnsemble.
-StatusOr<dgcf::RunResult> RunLoaderArgs(dgcf::AppEnv& env,
-                                        const LoaderArgs& args);
+/// `app` into the run they describe, with instance_args loaded from the -f
+/// file (or expanded from it with --script) and --inject parsed into
+/// `faults`. trace/memcheck/profiler are left null for the caller to
+/// attach. Every value and the --inject spec are checked before the
+/// argument file is read through the host filesystem; any problem is an
+/// error Status, so a caller can reject bad usage before building a device.
+StatusOr<EnsembleOptions> ParseLoaderArgs(const std::string& app,
+                                          const std::vector<std::string>& argv);
 
 }  // namespace dgc::ensemble

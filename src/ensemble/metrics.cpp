@@ -102,16 +102,15 @@ void AppendTimeline(std::string& out, const sim::Profiler& profiler) {
 
 }  // namespace
 
-std::string FormatMetricsJson(const MetricsInfo& info,
-                              const dgcf::RunResult& run,
+std::string FormatMetricsJson(const dgcf::RunResult& run,
                               const sim::Profiler* profiler) {
   std::string out = "{\n";
   out += "  \"schema\": \"dgc-metrics-v1\",\n";
-  out += "  \"app\": \"" + JsonEscape(info.app) + "\",\n";
-  out += "  \"device\": \"" + JsonEscape(info.device) + "\",\n";
-  out += "  \"thread_limit\": " + U64(info.thread_limit) + ",\n";
-  out += "  \"instances\": " + U64(info.instances) + ",\n";
-  out += "  \"teams_per_block\": " + U64(info.teams_per_block) + ",\n";
+  out += "  \"app\": \"" + JsonEscape(run.app) + "\",\n";
+  out += "  \"device\": \"" + JsonEscape(run.device) + "\",\n";
+  out += "  \"thread_limit\": " + U64(run.thread_limit) + ",\n";
+  out += "  \"instances\": " + U64(run.instances.size()) + ",\n";
+  out += "  \"teams_per_block\": " + U64(run.teams_per_block) + ",\n";
   out += "  \"waves\": " + U64(run.waves) + ",\n";
   out += "  \"kernel_cycles\": " + U64(run.kernel_cycles) + ",\n";
   out += "  \"transfer_cycles\": " + U64(run.transfer_cycles) + ",\n";
@@ -178,14 +177,13 @@ std::string FormatMetricsJson(const MetricsInfo& info,
   return out;
 }
 
-Status WriteMetricsJson(const std::string& path, const MetricsInfo& info,
-                        const dgcf::RunResult& run,
+Status WriteMetricsJson(const std::string& path, const dgcf::RunResult& run,
                         const sim::Profiler* profiler) {
   std::ofstream out(path, std::ios::binary | std::ios::trunc);
   if (!out) {
     return Status(ErrorCode::kInvalidArgument, "cannot write " + path);
   }
-  out << FormatMetricsJson(info, run, profiler);
+  out << FormatMetricsJson(run, profiler);
   return Status::Ok();
 }
 

@@ -34,7 +34,6 @@
 // "timeline" degrade to [] / null when the run was not profiled.
 #pragma once
 
-#include <cstdint>
 #include <string>
 
 #include "dgcf/loader.h"
@@ -46,23 +45,14 @@ class Profiler;
 
 namespace dgc::ensemble {
 
-/// Run identification recorded in the document header.
-struct MetricsInfo {
-  std::string app;
-  std::string device;
-  std::uint32_t thread_limit = 0;
-  std::uint32_t instances = 0;
-  std::uint32_t teams_per_block = 1;
-};
-
-/// Serializes the run. `profiler` may be null: the document then carries
-/// only the launch-global section (empty per_instance, null timeline).
-std::string FormatMetricsJson(const MetricsInfo& info,
-                              const dgcf::RunResult& run,
+/// Serializes the run; the header (app, device, thread limit, instance
+/// count, teams per block) comes from the run itself. `profiler` may be
+/// null: the document then carries only the launch-global section (empty
+/// per_instance, null timeline).
+std::string FormatMetricsJson(const dgcf::RunResult& run,
                               const sim::Profiler* profiler);
 
-Status WriteMetricsJson(const std::string& path, const MetricsInfo& info,
-                        const dgcf::RunResult& run,
+Status WriteMetricsJson(const std::string& path, const dgcf::RunResult& run,
                         const sim::Profiler* profiler);
 
 }  // namespace dgc::ensemble

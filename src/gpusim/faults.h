@@ -62,8 +62,9 @@ std::string_view ToString(LaunchOutcome outcome);
 /// simulation consumes the plan, so one plan shared across retry waves
 /// injects each listed fault exactly once (which is what lets a retry
 /// recover an injected-OOM instance). Each Device runs single-threaded, so
-/// no synchronization is needed; sweep harnesses must parse one fresh plan
-/// per point to stay deterministic under concurrent jobs.
+/// no synchronization is needed. The ensemble loader copies the plan once
+/// per run (ensemble::EnsembleOptions::faults), so concurrent runs never
+/// share counters.
 ///
 /// Spec grammar (semicolon-separated clauses; see docs/MODEL.md):
 ///   seed@<n>               seed for the probabilistic clauses (default 1)

@@ -41,7 +41,6 @@ struct Scheduler::InFlight {
   std::vector<char> is_duplicate;   ///< slot had an identical argv earlier
   std::vector<char> deadline_slot;  ///< slot's watchdog is deadline-derived
   bool probe = false;               ///< half-open circuit-breaker probe
-  std::unique_ptr<sim::FaultPlan> plan;      ///< compiled chaos (may be null)
   std::unique_ptr<sim::Profiler> profiler;   ///< metrics sidecar (may be null)
   ensemble::EnsembleOptions options;
 
@@ -477,7 +476,6 @@ bool Scheduler::StartOneLaunch(std::uint32_t s) {
 
     std::vector<std::uint64_t> budgets(batch.size(), 0);
     bool any_budget = false;
-    auto chaos_plan = std::make_unique<sim::FaultPlan>();
     std::string jobs_list;
     for (std::size_t i = 0; i < batch.size(); ++i) {
       JobRecord& record = records_[batch[i]];
@@ -502,17 +500,13 @@ bool Scheduler::StartOneLaunch(std::uint32_t s) {
       // for occupancy.
       const std::uint32_t block =
           std::uint32_t(i) / config_.teams_per_block;
-      if (record.job.chaos_trap) chaos_plan->AddTrap(block, 0, 0);
+      if (record.job.chaos_trap) options.faults.AddTrap(block, 0, 0);
       if (record.job.chaos_slow > 1) {
-        chaos_plan->AddSlowdown(block, record.job.chaos_slow);
+        options.faults.AddSlowdown(block, record.job.chaos_slow);
       }
       jobs_list += StrFormat(i == 0 ? "%u" : ",%u", batch[i]);
     }
     if (any_budget) options.instance_watchdogs = std::move(budgets);
-    if (!chaos_plan->empty()) {
-      fl->plan = std::move(chaos_plan);
-      options.faults = fl->plan.get();
-    }
     if (!config_.metrics_prefix.empty()) {
       fl->profiler = std::make_unique<sim::Profiler>();
       options.profiler = fl->profiler.get();
@@ -562,17 +556,11 @@ void Scheduler::ResolveInFlight() {
     }
     PushEvent(Event{free_cycle, EventKind::kDeviceFree, 0, fl.id, 0, {}});
     if (!config_.metrics_prefix.empty() && !fl.launch_error) {
-      ensemble::MetricsInfo info;
-      info.app = fl.app;
-      info.device = config_.spec.name;
-      info.thread_limit = config_.thread_limit;
-      info.instances = std::uint32_t(fl.jobs.size());
-      info.teams_per_block = config_.teams_per_block;
       const std::string path =
           StrFormat("%s.launch%u.json", config_.metrics_prefix.c_str(),
                     fl.id);
       const Status written =
-          ensemble::WriteMetricsJson(path, info, fl.run, fl.profiler.get());
+          ensemble::WriteMetricsJson(path, fl.run, fl.profiler.get());
       if (!written.ok()) {
         Log(StrFormat("@%llu metrics-error launch=%u %s",
                       (unsigned long long)now_, fl.id,

@@ -6,12 +6,52 @@
 #include <fstream>
 
 #include "apps/common.h"
+#include "dgcf/libc.h"
+#include "dgcf/rpc.h"
 #include "ensemble/experiment.h"
+#include "ensemble/metrics.h"
+#include "gpusim/device.h"
 #include "gpusim/device_spec.h"
+#include "gpusim/profiler.h"
+#include "ompx/team.h"
 #include "support/str.h"
 
 namespace dgc::ensemble {
 namespace {
+
+/// `count` argument rows of `args`, row i seeded `-s i+1`.
+std::vector<std::vector<std::string>> SeededRows(
+    const std::vector<std::string>& args, std::uint32_t count) {
+  std::vector<std::vector<std::string>> rows(count, args);
+  for (std::uint32_t i = 0; i < count; ++i) {
+    rows[i].push_back("-s");
+    rows[i].push_back(StrFormat("%u", i + 1));
+  }
+  return rows;
+}
+
+// A sweep probe: takes a read-only input and a private buffer through the
+// apps' allocation path (so --share-data changes its layout), traps when
+// an allocation fails (so a retry wave can recover it) and computes a
+// little.
+sim::DeviceTask<int> SweepProbeMain(dgcf::AppEnv& env, ompx::TeamCtx& team,
+                                    int, dgcf::DeviceArgv) {
+  static const std::vector<std::uint32_t> input(64, 7);
+  sim::ThreadCtx& ctx = *team.hw;
+  std::vector<apps::AppArray> layout;
+  layout.push_back(apps::ReadOnlyArray(input));
+  layout.push_back(apps::PrivateArray<std::uint32_t>(64));
+  apps::AppArrays arrays = co_await apps::AllocateAppArrays(
+      env, ctx, "sweepprobe", {}, std::move(layout));
+  if (!arrays.ok) {
+    throw sim::DeviceTrap(sim::TrapKind::kOOM, "sweepprobe: out of memory");
+  }
+  for (int r = 0; r < 20; ++r) co_await ctx.Work(50);
+  co_await apps::FreeAppArrays(env, ctx, arrays.buffers);
+  co_return 0;
+}
+
+DGC_REGISTER_APP(sweepprobe, "sweep probe", SweepProbeMain)
 
 class ExperimentTest : public testing::Test {
  protected:
@@ -19,13 +59,10 @@ class ExperimentTest : public testing::Test {
 
   static ExperimentConfig SmallConfig() {
     ExperimentConfig cfg;
-    cfg.app = "rsbench";
-    cfg.args_for_instance = [](std::uint32_t i) {
-      return std::vector<std::string>{"-u", "6", "-w", "4", "-l", "64",
-                                      "-s", StrFormat("%u", i + 1)};
-    };
+    cfg.run.app = "rsbench";
+    cfg.run.instance_args = SeededRows({"-u", "6", "-w", "4", "-l", "64"}, 4);
+    cfg.run.thread_limit = 32;
     cfg.instance_counts = {1, 2, 4};
-    cfg.thread_limit = 32;
     cfg.spec = sim::DeviceSpec::TestDevice();
     return cfg;
   }
@@ -74,11 +111,8 @@ TEST_F(ExperimentTest, ParallelSweepOutputIsByteIdenticalToSerial) {
   // Two series, including one with a not-ran (OOM) tail, so reassembly,
   // baseline resolution, and skip handling are all exercised.
   ExperimentConfig oom = SmallConfig();
-  oom.app = "pagerank";
-  oom.args_for_instance = [](std::uint32_t i) {
-    return std::vector<std::string>{"-g", "150000", "-d", "12",
-                                    "-s", StrFormat("%u", i + 1)};
-  };
+  oom.run.app = "pagerank";
+  oom.run.instance_args = SeededRows({"-g", "150000", "-d", "12"}, 8);
   oom.instance_counts = {1, 2, 8};
   const std::vector<ExperimentConfig> configs{SmallConfig(), oom};
 
@@ -129,12 +163,9 @@ TEST_F(ExperimentTest, ProgressEventsCoverEveryPoint) {
 // as speedup 0.000000 in the figure.
 TEST_F(ExperimentTest, BaselineOomMarksWholeSeriesNotRan) {
   ExperimentConfig cfg = SmallConfig();
-  cfg.app = "pagerank";
+  cfg.run.app = "pagerank";
   // One instance alone exceeds the 64 MiB test device.
-  cfg.args_for_instance = [](std::uint32_t i) {
-    return std::vector<std::string>{"-g", "1500000", "-d", "12",
-                                    "-s", StrFormat("%u", i + 1)};
-  };
+  cfg.run.instance_args = SeededRows({"-g", "1500000", "-d", "12"}, 2);
   cfg.instance_counts = {1, 2};
   auto series = MeasureSpeedup(cfg);
   ASSERT_TRUE(series.ok()) << series.status().ToString();
@@ -152,7 +183,7 @@ TEST_F(ExperimentTest, BaselineOomMarksWholeSeriesNotRan) {
 
 TEST_F(ExperimentTest, RunSweepsPreservesConfigOrder) {
   ExperimentConfig second = SmallConfig();
-  second.thread_limit = 16;
+  second.run.thread_limit = 16;
   auto all = RunSweeps({SmallConfig(), second});
   ASSERT_TRUE(all.ok());
   ASSERT_EQ(all->size(), 2u);
@@ -166,12 +197,9 @@ TEST_F(ExperimentTest, RunSweepsRejectsEmptyConfigList) {
 
 TEST_F(ExperimentTest, OomConfigurationsAreSkippedNotFatal) {
   ExperimentConfig cfg = SmallConfig();
-  cfg.app = "pagerank";
+  cfg.run.app = "pagerank";
   // 64 MiB test device; each instance ~11 MiB → 8 instances cannot fit.
-  cfg.args_for_instance = [](std::uint32_t i) {
-    return std::vector<std::string>{"-g", "150000", "-d", "12",
-                                    "-s", StrFormat("%u", i + 1)};
-  };
+  cfg.run.instance_args = SeededRows({"-g", "150000", "-d", "12"}, 8);
   cfg.instance_counts = {1, 2, 8};
   auto series = MeasureSpeedup(cfg);
   ASSERT_TRUE(series.ok()) << series.status().ToString();
@@ -189,15 +217,72 @@ TEST_F(ExperimentTest, RequiresLeadingOne) {
   EXPECT_FALSE(MeasureSpeedup(cfg).ok());
 }
 
-TEST_F(ExperimentTest, RequiresArgsBuilder) {
+TEST_F(ExperimentTest, RequiresAnArgumentRowPerInstance) {
   ExperimentConfig cfg = SmallConfig();
-  cfg.args_for_instance = nullptr;
-  EXPECT_FALSE(MeasureSpeedup(cfg).ok());
+  cfg.run.instance_args.pop_back();  // 3 rows for a 4-instance point
+  auto series = MeasureSpeedup(cfg);
+  ASSERT_FALSE(series.ok());
+  EXPECT_EQ(series.status().code(), ErrorCode::kInvalidArgument);
+  EXPECT_NE(series.status().message().find("needs 4 argument lines"),
+            std::string::npos)
+      << series.status().ToString();
+}
+
+TEST_F(ExperimentTest, RejectsARunWithObservers) {
+  // Points run concurrently, so one trace/memcheck/profiler cannot observe
+  // them; per-point profiling goes through `profile`.
+  sim::Profiler profiler;
+  ExperimentConfig cfg = SmallConfig();
+  cfg.run.profiler = &profiler;
+  auto series = MeasureSpeedup(cfg);
+  ASSERT_FALSE(series.ok());
+  EXPECT_EQ(series.status().code(), ErrorCode::kInvalidArgument);
+}
+
+// A sweep point IS the configured run at N instances: every loader knob of
+// `run` (fault plan, retry, sharing, mapping, watchdog) reaches the point,
+// so each point's sidecar equals a profiled RunEnsemble of that run on a
+// fresh device, byte for byte.
+TEST_F(ExperimentTest, EachPointIsTheRunAtItsInstanceCount) {
+  ExperimentConfig cfg;
+  cfg.run.app = "sweepprobe";
+  cfg.run.instance_args.assign(4, {});
+  cfg.run.thread_limit = 8;
+  cfg.run.teams_per_block = 2;
+  cfg.run.share_data = true;
+  cfg.run.faults = *sim::FaultPlan::Parse("malloc-fail@2");
+  cfg.run.max_attempts = 2;
+  cfg.run.instance_watchdog_cycles = 10'000'000;
+  cfg.instance_counts = {1, 2, 4};
+  cfg.spec = sim::DeviceSpec::TestDevice();
+  cfg.profile = true;
+  SweepOptions options;
+  options.jobs = 2;
+  auto series = MeasureSpeedup(cfg, options);
+  ASSERT_TRUE(series.ok()) << series.status().ToString();
+
+  for (const SpeedupPoint& point : series->points) {
+    // Every point hits the injected failure and recovers it on a retry.
+    ASSERT_TRUE(point.ran) << "n=" << point.instances << ": " << point.note;
+    sim::Device device(cfg.spec);
+    dgcf::RpcHost rpc(device);
+    dgcf::DeviceLibc libc(device);
+    dgcf::AppEnv env{&device, &rpc, &libc};
+    sim::Profiler profiler;
+    EnsembleOptions run = cfg.run;
+    run.num_instances = point.instances;
+    run.profiler = &profiler;
+    auto direct = RunEnsemble(env, run);
+    ASSERT_TRUE(direct.ok()) << direct.status().ToString();
+    EXPECT_EQ(direct->waves, 2u) << "n=" << point.instances;
+    EXPECT_EQ(point.metrics_json, FormatMetricsJson(*direct, &profiler))
+        << "n=" << point.instances;
+  }
 }
 
 TEST_F(ExperimentTest, UnknownAppPropagates) {
   ExperimentConfig cfg = SmallConfig();
-  cfg.app = "ghost";
+  cfg.run.app = "ghost";
   auto series = MeasureSpeedup(cfg);
   ASSERT_FALSE(series.ok());
   EXPECT_EQ(series.status().code(), ErrorCode::kNotFound);
@@ -225,8 +310,8 @@ TEST_F(ExperimentTest, TableFormatsLinearRowAndSkips) {
 
 TEST_F(ExperimentTest, MultiDimMappingConfigRuns) {
   ExperimentConfig cfg = SmallConfig();
-  cfg.thread_limit = 16;
-  cfg.teams_per_block = 2;
+  cfg.run.thread_limit = 16;
+  cfg.run.teams_per_block = 2;
   auto series = MeasureSpeedup(cfg);
   ASSERT_TRUE(series.ok()) << series.status().ToString();
   for (const auto& p : series->points) EXPECT_TRUE(p.ran);

@@ -92,10 +92,8 @@ EnsembleOptions MixedOptions() {
 
 TEST(FaultEnsemble, MixedOutcomesAreContainedPerInstance) {
   Env env;
-  auto plan = *FaultPlan::Parse("malloc-fail@1");
-  env.libc.set_fault_plan(&plan);
   auto opt = MixedOptions();
-  opt.faults = &plan;
+  opt.faults = *FaultPlan::Parse("malloc-fail@1");
   auto run = RunEnsemble(env.app_env, opt);
   ASSERT_TRUE(run.ok()) << run.status().ToString();
   ASSERT_EQ(run->instances.size(), 8u);
@@ -140,10 +138,8 @@ TEST(FaultEnsemble, MixedOutcomesAreContainedPerInstance) {
 
 TEST(FaultEnsemble, RetryRecoversTheOomInstanceOnASmallerWave) {
   Env env;
-  auto plan = *FaultPlan::Parse("malloc-fail@1");
-  env.libc.set_fault_plan(&plan);
   auto opt = MixedOptions();
-  opt.faults = &plan;
+  opt.faults = *FaultPlan::Parse("malloc-fail@1");
   opt.max_attempts = 2;
   opt.retry_shrink = 2;
   auto run = RunEnsemble(env.app_env, opt);
@@ -170,10 +166,8 @@ TEST(FaultEnsemble, RetryWaveLeavesFirstWaveSiblingsUntouched) {
   // successful siblings' results cycle for cycle.
   auto run_with = [](std::uint32_t attempts) {
     Env env;
-    auto plan = *FaultPlan::Parse("malloc-fail@1");
-    env.libc.set_fault_plan(&plan);
     auto opt = MixedOptions();
-    opt.faults = &plan;
+    opt.faults = *FaultPlan::Parse("malloc-fail@1");
     opt.max_attempts = attempts;
     auto run = RunEnsemble(env.app_env, opt);
     EXPECT_TRUE(run.ok());
@@ -222,13 +216,11 @@ TEST(FaultEnsemble, AbortTrapsAreContainedAndAttributed) {
 
 TEST(FaultEnsemble, RpcFailureIsAnErrnoReturnNotACrash) {
   Env env;
-  auto plan = *FaultPlan::Parse("rpc-fail@1");
-  env.rpc.set_fault_plan(&plan);
   EnsembleOptions opt;
   opt.app = "faultprobe";
   opt.instance_args = {{"-p"}};
   opt.thread_limit = 4;
-  opt.faults = &plan;
+  opt.faults = *FaultPlan::Parse("rpc-fail@1");
   auto run = RunEnsemble(env.app_env, opt);
   ASSERT_TRUE(run.ok());
   // The app sees -1 from the failed printf and turns it into exit 7 — a
@@ -240,19 +232,27 @@ TEST(FaultEnsemble, RpcFailureIsAnErrnoReturnNotACrash) {
 }
 
 TEST(FaultEnsemble, SameSeedSameResultsAcrossRuns) {
-  auto run_once = [] {
+  // Two calls on ONE EnsembleOptions: each call runs its own copy of the
+  // plan, so the second call injects the same faults as the first (the
+  // first call's consumed counters never leak into it).
+  auto opt = MixedOptions();
+  opt.faults = *FaultPlan::Parse("seed@9;malloc-fail@1");
+  opt.max_attempts = 2;
+  auto run_once = [&opt] {
     Env env;
-    auto plan = *FaultPlan::Parse("seed@9;malloc-fail@1");
-    env.libc.set_fault_plan(&plan);
-    auto opt = MixedOptions();
-    opt.faults = &plan;
-    opt.max_attempts = 2;
     auto run = RunEnsemble(env.app_env, opt);
     EXPECT_TRUE(run.ok());
     return *run;
   };
   const dgcf::RunResult a = run_once();
   const dgcf::RunResult b = run_once();
+  EXPECT_EQ(opt.faults.malloc_calls, 0u);  // the options were not consumed
+  // Both calls hit instance 2's malloc and recovered it on the retry.
+  for (const dgcf::RunResult* run : {&a, &b}) {
+    EXPECT_EQ(run->waves, 2u);
+    EXPECT_EQ(run->instances[2].attempts, 2u);
+    EXPECT_TRUE(run->instances[2].completed);
+  }
   EXPECT_EQ(a.kernel_cycles, b.kernel_cycles);
   EXPECT_EQ(a.waves, b.waves);
   ASSERT_EQ(a.instances.size(), b.instances.size());
@@ -307,19 +307,20 @@ TEST(FaultSingle, AllOkIsFalseForAnEmptyRun) {
 
 ExperimentConfig FaultSweepConfig() {
   ExperimentConfig cfg;
-  cfg.app = "faultprobe";
+  cfg.run.app = "faultprobe";
   // Instance 3 allocates through the unchecked path; everyone else is pure
   // compute. With malloc-fail@1, the first device malloc of each point
   // fails — which is instance 3's, the only one that allocates. Points
   // with fewer than 4 instances never allocate and run clean.
-  cfg.args_for_instance = [](std::uint32_t i) -> std::vector<std::string> {
-    if (i == 3) return {"-o"};
-    return {"-w", StrFormat("%u", 10 + i)};
-  };
+  for (std::uint32_t i = 0; i < 8; ++i) {
+    cfg.run.instance_args.push_back(
+        i == 3 ? std::vector<std::string>{"-o"}
+               : std::vector<std::string>{"-w", StrFormat("%u", 10 + i)});
+  }
+  cfg.run.thread_limit = 8;
+  cfg.run.faults = *FaultPlan::Parse("malloc-fail@1");
   cfg.instance_counts = {1, 2, 4, 8};
-  cfg.thread_limit = 8;
   cfg.spec = DeviceSpec::TestDevice();
-  cfg.inject_spec = "malloc-fail@1";
   return cfg;
 }
 
@@ -336,12 +337,13 @@ TEST(FaultSweep, FaultingPointIsSkippedNotFatal) {
 }
 
 TEST(FaultSweep, InjectedSweepIsByteIdenticalForAnyJobCount) {
-  // Two series × four points, every point parsing its own FaultPlan: the
-  // rendered CSV must not depend on how many worker threads ran the points.
+  // Two series × four points, every point's run copying the configured
+  // FaultPlan: the rendered CSV must not depend on how many worker threads
+  // ran the points.
   auto run_with_jobs = [](std::uint32_t jobs) {
     ExperimentConfig a = FaultSweepConfig();
     ExperimentConfig b = FaultSweepConfig();
-    b.thread_limit = 4;
+    b.run.thread_limit = 4;
     SweepOptions options;
     options.jobs = jobs;
     auto series = RunSweeps({a, b}, options);
@@ -356,8 +358,8 @@ TEST(FaultSweep, InjectedSweepIsByteIdenticalForAnyJobCount) {
 
 TEST(FaultSweep, RetryInSweepRecoversInjectedPoint) {
   ExperimentConfig cfg = FaultSweepConfig();
-  cfg.max_attempts = 2;
-  cfg.retry_shrink = 2;
+  cfg.run.max_attempts = 2;
+  cfg.run.retry_shrink = 2;
   auto series = MeasureSpeedup(cfg);
   ASSERT_TRUE(series.ok()) << series.status().ToString();
   // With a retry, the injected allocation failure is consumed in wave 1

@@ -233,7 +233,7 @@ TEST(EnsembleLoader, CliFrontEndMatchesFig5c) {
   auto args =
       ParseLoaderArgs("ensemble_probe", {"-f", path, "-n", "4", "-t", "32"});
   ASSERT_TRUE(args.ok()) << args.status().ToString();
-  auto run = RunLoaderArgs(env.app_env, *args);
+  auto run = RunEnsemble(env.app_env, *args);
   ASSERT_TRUE(run.ok()) << run.status().ToString();
   EXPECT_EQ(run->instances.size(), 4u);
   for (int i = 0; i < 4; ++i) EXPECT_EQ(run->instances[std::size_t(i)].exit_code, i);
@@ -250,7 +250,7 @@ TEST(EnsembleLoader, CliScriptMode) {
   auto args =
       ParseLoaderArgs("ensemble_probe", {"-f", path, "-t", "32", "--script"});
   ASSERT_TRUE(args.ok()) << args.status().ToString();
-  auto run = RunLoaderArgs(env.app_env, *args);
+  auto run = RunEnsemble(env.app_env, *args);
   ASSERT_TRUE(run.ok()) << run.status().ToString();
   ASSERT_EQ(run->instances.size(), 3u);
   for (int i = 0; i < 3; ++i) EXPECT_EQ(run->instances[std::size_t(i)].exit_code, i);
@@ -278,17 +278,17 @@ TEST(EnsembleLoader, CliParsesAttachedAndEqualsForms) {
   auto attached = ParseLoaderArgs("ensemble_probe",
                                   {"-f", path, "-t64", "-m2", "--teams=1"});
   ASSERT_TRUE(attached.ok()) << attached.status().ToString();
-  EXPECT_EQ(attached->options.thread_limit, 64u);
-  EXPECT_EQ(attached->options.teams_per_block, 2u);
-  EXPECT_EQ(attached->options.num_teams, 1u);
-  EXPECT_EQ(attached->options.instance_args.size(), 2u);
+  EXPECT_EQ(attached->thread_limit, 64u);
+  EXPECT_EQ(attached->teams_per_block, 2u);
+  EXPECT_EQ(attached->num_teams, 1u);
+  EXPECT_EQ(attached->instance_args.size(), 2u);
   auto equals = ParseLoaderArgs(
       "ensemble_probe", {"--file=" + path, "--thread-limit=64",
                          "--inject=trap@b0.w0.c5000", "--share-data=off"});
   ASSERT_TRUE(equals.ok()) << equals.status().ToString();
-  EXPECT_EQ(equals->options.thread_limit, 64u);
-  EXPECT_EQ(equals->inject, "trap@b0.w0.c5000");
-  EXPECT_FALSE(equals->options.share_data);
+  EXPECT_EQ(equals->thread_limit, 64u);
+  EXPECT_EQ(equals->faults.ToString(), "trap@b0.w0.c5000");
+  EXPECT_FALSE(equals->share_data);
   std::remove(path.c_str());
 }
 

@@ -85,19 +85,9 @@ ProfiledRun RunProbe(std::uint32_t instances) {
   return out;
 }
 
-MetricsInfo ProbeInfo(std::uint32_t instances) {
-  MetricsInfo info;
-  info.app = "metrics_probe";
-  info.device = "TEST";
-  info.thread_limit = 32;
-  info.instances = instances;
-  return info;
-}
-
 TEST(Metrics, DocumentIsValidJson) {
   ProfiledRun pr = RunProbe(2);
-  const std::string json =
-      FormatMetricsJson(ProbeInfo(2), pr.run, &pr.profiler);
+  const std::string json = FormatMetricsJson(pr.run, &pr.profiler);
   const Status valid = JsonValidate(json);
   EXPECT_TRUE(valid.ok()) << valid.ToString();
   EXPECT_NE(json.find("\"schema\": \"dgc-metrics-v1\""), std::string::npos);
@@ -105,7 +95,7 @@ TEST(Metrics, DocumentIsValidJson) {
 
 TEST(Metrics, UnprofiledDocumentDegradesAndStaysValid) {
   ProfiledRun pr = RunProbe(1);
-  const std::string json = FormatMetricsJson(ProbeInfo(1), pr.run, nullptr);
+  const std::string json = FormatMetricsJson(pr.run, nullptr);
   EXPECT_TRUE(JsonValidate(json).ok());
   EXPECT_NE(json.find("\"timeline\": null"), std::string::npos);
 }
@@ -115,15 +105,14 @@ TEST(Metrics, IdenticalRunsSerializeByteIdentically) {
   // where the point ran, only on its configuration.
   ProfiledRun a = RunProbe(2);
   ProfiledRun b = RunProbe(2);
-  EXPECT_EQ(FormatMetricsJson(ProbeInfo(2), a.run, &a.profiler),
-            FormatMetricsJson(ProbeInfo(2), b.run, &b.profiler));
+  EXPECT_EQ(FormatMetricsJson(a.run, &a.profiler),
+            FormatMetricsJson(b.run, &b.profiler));
 }
 
 TEST(Metrics, HeaderStringsAreEscaped) {
   ProfiledRun pr = RunProbe(1);
-  MetricsInfo info = ProbeInfo(1);
-  info.app = "weird \"name\"\nwith\\controls";
-  const std::string json = FormatMetricsJson(info, pr.run, &pr.profiler);
+  pr.run.app = "weird \"name\"\nwith\\controls";
+  const std::string json = FormatMetricsJson(pr.run, &pr.profiler);
   const Status valid = JsonValidate(json);
   EXPECT_TRUE(valid.ok()) << valid.ToString();
   EXPECT_NE(json.find("weird \\\"name\\\"\\nwith\\\\controls"),
@@ -134,8 +123,7 @@ TEST(Metrics, PerInstanceSectionMatchesAttribution) {
   ProfiledRun pr = RunProbe(3);
   ASSERT_EQ(pr.run.instances.size(), 3u);
   ASSERT_EQ(pr.run.instance_stats.size(), 4u);  // unattributed + 3
-  const std::string json =
-      FormatMetricsJson(ProbeInfo(3), pr.run, &pr.profiler);
+  const std::string json = FormatMetricsJson(pr.run, &pr.profiler);
   // Instance 1's serialized elapsed_cycles is its attributed counter, not
   // the launch-global one.
   const std::string expect = StrFormat(
@@ -220,8 +208,8 @@ std::string CollapseArray(const std::string& json, const std::string& key) {
 
 TEST(Metrics, GoldenSchemaShape) {
   ProfiledRun pr = RunProbe(2);
-  const std::string json =
-      FormatMetricsJson(ProbeInfo(2), pr.run, &pr.profiler);
+  pr.run.device = "TEST";  // the device name the golden was recorded with
+  const std::string json = FormatMetricsJson(pr.run, &pr.profiler);
   std::string normalized = NormalizeScalars(json);
   normalized = CollapseArray(normalized, "per_instance");
   normalized = CollapseArray(normalized, "samples");

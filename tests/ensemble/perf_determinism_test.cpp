@@ -25,44 +25,32 @@ namespace {
 /// fig6a methodology (thread limit 32, per-instance seeds) shrunk to test
 /// scale: the paper's two lookup benchmarks on the test device.
 std::vector<ExperimentConfig> SmallFig6aConfigs() {
+  // Multi-warp leg: thread limit 64 puts two warps in amgmk's blocks, so
+  // the panel also covers barriers, shared memory and sibling-warp state.
+  const struct {
+    const char* app;
+    std::vector<std::string> args;
+    std::uint32_t thread_limit;
+  } legs[] = {
+      {"xsbench", {"-i", "8", "-g", "64", "-l", "96"}, 32},
+      {"rsbench", {"-u", "6", "-w", "4", "-l", "64"}, 32},
+      {"amgmk", {"-x", "8", "-y", "8", "-z", "8", "-w", "2"}, 64},
+  };
   std::vector<ExperimentConfig> configs;
-  ExperimentConfig xs;
-  xs.app = "xsbench";
-  xs.args_for_instance = [](std::uint32_t i) {
-    return std::vector<std::string>{"-i", "8",  "-g", "64",
-                                    "-l", "96", "-s", StrFormat("%u", i + 1)};
-  };
-  xs.instance_counts = {1, 2, 4};
-  xs.thread_limit = 32;
-  xs.spec = sim::DeviceSpec::TestDevice();
-  xs.profile = true;
-  configs.push_back(xs);
-
-  ExperimentConfig rs;
-  rs.app = "rsbench";
-  rs.args_for_instance = [](std::uint32_t i) {
-    return std::vector<std::string>{"-u", "6",  "-w", "4",
-                                    "-l", "64", "-s", StrFormat("%u", i + 1)};
-  };
-  rs.instance_counts = {1, 2, 4};
-  rs.thread_limit = 32;
-  rs.spec = sim::DeviceSpec::TestDevice();
-  rs.profile = true;
-  configs.push_back(rs);
-
-  // Multi-warp leg: thread limit 64 puts two warps in every block, so the
-  // panel also covers barriers, shared memory and sibling-warp state.
-  ExperimentConfig amg;
-  amg.app = "amgmk";
-  amg.args_for_instance = [](std::uint32_t i) {
-    return std::vector<std::string>{"-x", "8", "-y", "8", "-z", "8",
-                                    "-w", "2", "-s", StrFormat("%u", i + 1)};
-  };
-  amg.instance_counts = {1, 2, 4};
-  amg.thread_limit = 64;
-  amg.spec = sim::DeviceSpec::TestDevice();
-  amg.profile = true;
-  configs.push_back(amg);
+  for (const auto& leg : legs) {
+    ExperimentConfig cfg;
+    cfg.run.app = leg.app;
+    for (std::uint32_t i = 0; i < 4; ++i) {
+      cfg.run.instance_args.push_back(leg.args);
+      cfg.run.instance_args.back().push_back("-s");
+      cfg.run.instance_args.back().push_back(StrFormat("%u", i + 1));
+    }
+    cfg.run.thread_limit = leg.thread_limit;
+    cfg.instance_counts = {1, 2, 4};
+    cfg.spec = sim::DeviceSpec::TestDevice();
+    cfg.profile = true;
+    configs.push_back(cfg);
+  }
   return configs;
 }
 
@@ -146,8 +134,7 @@ TEST(PerfDeterminism, SingleEnsembleLaunchStatsIdenticalAcrossPaths) {
     auto run = RunEnsemble(env, opt);
     sim::SetCoalesceFastPath(was);
     EXPECT_TRUE(run.ok());
-    MetricsInfo info{"xsbench", device.spec().name, 32, 4, 1};
-    return FormatMetricsJson(info, *run, &profiler);
+    return FormatMetricsJson(*run, &profiler);
   };
   EXPECT_EQ(run_once(true), run_once(false));
 }

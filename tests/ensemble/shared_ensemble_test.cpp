@@ -42,7 +42,7 @@ StatusOr<dgcf::RunResult> RunReplicas(const DeviceSpec& spec,
                                       std::uint32_t instances, bool share,
                                       sim::Memcheck* memcheck = nullptr,
                                       bool distinct_seeds = false,
-                                      sim::FaultPlan* faults = nullptr,
+                                      const sim::FaultPlan& faults = {},
                                       std::uint32_t max_attempts = 1) {
   apps::RegisterAllApps();
   Device device(spec);
@@ -224,7 +224,7 @@ TEST(SharedEnsemble, RetryWaveReattachesWithoutRematerializing) {
   auto plan = *sim::FaultPlan::Parse("trap@b2.w0.c50000");
   auto run = RunReplicas(DeviceSpec::TestDevice(), 6, /*share=*/true,
                          /*memcheck=*/nullptr, /*distinct_seeds=*/false,
-                         &plan, /*max_attempts=*/2);
+                         plan, /*max_attempts=*/2);
   ASSERT_TRUE(run.ok()) << run.status().ToString();
   EXPECT_EQ(run->waves, 2u);
   EXPECT_TRUE(run->all_ok());
@@ -259,7 +259,7 @@ TEST(SharedEnsemble, RetryWithSharedDataHasNoRaceOrLifetimeFindings) {
   sim::Memcheck memcheck;
   auto plan = *sim::FaultPlan::Parse("trap@b2.w0.c50000");
   auto run = RunReplicas(DeviceSpec::TestDevice(), 6, /*share=*/true,
-                         &memcheck, /*distinct_seeds=*/false, &plan,
+                         &memcheck, /*distinct_seeds=*/false, plan,
                          /*max_attempts=*/2);
   ASSERT_TRUE(run.ok()) << run.status().ToString();
   EXPECT_EQ(run->waves, 2u);
@@ -274,12 +274,11 @@ TEST(SharedEnsemble, RetryWithSharedDataHasNoRaceOrLifetimeFindings) {
 // Determinism survives the fault + retry path: two identical faulted runs
 // agree on timing, attach counts, and peak footprint.
 TEST(SharedEnsemble, RetryWithSharedDataIsDeterministic) {
-  auto plan_a = *sim::FaultPlan::Parse("trap@b2.w0.c50000");
+  const auto plan = *sim::FaultPlan::Parse("trap@b2.w0.c50000");
   auto a = RunReplicas(DeviceSpec::TestDevice(), 6, /*share=*/true, nullptr,
-                       false, &plan_a, /*max_attempts=*/2);
-  auto plan_b = *sim::FaultPlan::Parse("trap@b2.w0.c50000");
+                       false, plan, /*max_attempts=*/2);
   auto b = RunReplicas(DeviceSpec::TestDevice(), 6, /*share=*/true, nullptr,
-                       false, &plan_b, /*max_attempts=*/2);
+                       false, plan, /*max_attempts=*/2);
   ASSERT_TRUE(a.ok() && b.ok());
   EXPECT_EQ(a->kernel_cycles, b->kernel_cycles);
   EXPECT_EQ(a->device_mem.shared_attaches, b->device_mem.shared_attaches);
@@ -316,10 +315,6 @@ TEST_P(SharedUnwind, OnlyTheFaultedInstanceFailsAndNothingLeaks) {
     dgcf::DeviceLibc libc(device);
     AppEnv env{&device, &rpc, &libc};
     sim::Memcheck memcheck;
-    auto plan = *sim::FaultPlan::Parse(
-        StrFormat("malloc-fail@%llu", (unsigned long long)k));
-    libc.set_fault_plan(&plan);
-
     EnsembleOptions opt;
     opt.app = app;
     opt.instance_args = {UnwindArgs(app, 1), UnwindArgs(app, 1),
@@ -327,7 +322,8 @@ TEST_P(SharedUnwind, OnlyTheFaultedInstanceFailsAndNothingLeaks) {
     opt.thread_limit = 32;
     opt.share_data = share;
     opt.memcheck = &memcheck;
-    opt.faults = &plan;
+    opt.faults = *sim::FaultPlan::Parse(
+        StrFormat("malloc-fail@%llu", (unsigned long long)k));
     auto run = RunEnsemble(env, opt);
     ASSERT_TRUE(run.ok()) << run.status().ToString();
 

@@ -140,44 +140,23 @@ void PrintProfile(const dgcf::RunResult& run, const sim::Profiler& profiler) {
 /// at each instance count (first must be 1 — it defines T1) on a fresh
 /// device per point, `jobs` points concurrently, and prints the paper-style
 /// speedup table. Output is identical for every job count.
-int RunSweepMode(const ensemble::LoaderArgs& loader,
+int RunSweepMode(const ensemble::EnsembleOptions& run,
                  const std::vector<std::uint32_t>& counts, std::uint32_t jobs,
                  const std::string& csv_path, const sim::DeviceSpec& spec,
-                 bool profile, const std::string& metrics_prefix,
+                 const std::string& metrics_prefix,
                  std::uint64_t profile_interval) {
-  const ensemble::EnsembleOptions& opt = loader.options;
-  if (opt.num_instances != 0 || opt.num_teams != 0) {
+  if (run.num_instances != 0 || run.num_teams != 0) {
     std::fprintf(stderr,
                  "dgc-run: --sweep sets each point's instance count; drop "
                  "-n/--teams\n");
     return 2;
   }
-  std::uint32_t max_count = 0;
-  for (std::uint32_t n : counts) max_count = std::max(max_count, n);
-  if (max_count > opt.instance_args.size()) {
-    std::fprintf(stderr,
-                 "dgc-run: --sweep needs %u argument lines but the argument "
-                 "file provides only %zu\n",
-                 max_count, opt.instance_args.size());
-    return 2;
-  }
 
   ensemble::ExperimentConfig cfg;
-  cfg.app = opt.app;
-  cfg.args_for_instance = [lines = opt.instance_args](std::uint32_t i) {
-    return lines[i];
-  };
+  cfg.run = run;
   cfg.instance_counts = counts;
-  cfg.thread_limit = opt.thread_limit;
-  cfg.teams_per_block = opt.teams_per_block;
   cfg.spec = spec;
-  cfg.inject_spec = loader.inject;  // parsed fresh per point (determinism)
-  cfg.watchdog_cycles = opt.watchdog_cycles;
-  cfg.instance_watchdog_cycles = opt.instance_watchdog_cycles;
-  cfg.max_attempts = opt.max_attempts;
-  cfg.retry_shrink = opt.retry_shrink;
-  cfg.share_data = opt.share_data;
-  cfg.profile = profile || !metrics_prefix.empty();
+  cfg.profile = !metrics_prefix.empty();
   cfg.profile_interval = profile_interval;
 
   ensemble::SweepOptions options;
@@ -196,7 +175,7 @@ int RunSweepMode(const ensemble::LoaderArgs& loader,
     return 2;
   }
   std::printf("%s speedup sweep, thread limit %u, device %s\n\n",
-              cfg.app.c_str(), cfg.thread_limit, spec.name.c_str());
+              run.app.c_str(), run.thread_limit, spec.name.c_str());
   std::printf("%s", ensemble::FormatSpeedupTable({*series}).c_str());
   for (const ensemble::SpeedupPoint& p : series->points) {
     if (!p.ran && !p.note.empty()) {
@@ -263,7 +242,9 @@ int main(int argc, char** argv) {
         "  --share-data <on|off>  share read-only input segments across\n"
         "                 instances with identical workloads (default on;\n"
         "                 off reproduces the duplicated per-instance layout)\n\n"
-        "tool options (accepted anywhere after <app>):\n"
+        "tool options (accepted anywhere after <app>; --stats, --memcheck,\n"
+        "--trace, --trace-capacity and --profile describe one run and are\n"
+        "rejected with --sweep):\n"
         "  --device <d>   a100 (default), v100, or test\n"
         "  --memory-scale <n>  capacity scale divisor (default 512)\n"
         "  --stats        print simulator statistics\n"
@@ -305,12 +286,16 @@ int main(int argc, char** argv) {
   bool stats = false;
   bool memcheck_on = false;
   bool profile = false;
+  // Flags that only one mode reads; given in the other mode they would be
+  // silently dropped, so they are rejected instead.
+  std::vector<std::string> run_flags, sweep_flags;
   std::vector<std::string> loader_args;
   for (std::size_t i = 0; i < args.size(); ++i) {
     if (args[i] == "--device" && i + 1 < args.size()) {
       device_name = args[++i];
     } else if (args[i] == "--trace" && i + 1 < args.size()) {
       trace_path = args[++i];
+      run_flags.push_back("--trace");
     } else if (args[i] == "--trace-capacity" && i + 1 < args.size()) {
       auto v = ParseInt(args[++i]);
       if (!v.ok() || *v <= 0) {
@@ -318,6 +303,7 @@ int main(int argc, char** argv) {
         return 2;
       }
       trace_capacity = *v;
+      run_flags.push_back("--trace-capacity");
     } else if (args[i] == "--memory-scale" && i + 1 < args.size()) {
       auto v = ParseInt(args[++i]);
       if (!v.ok() || *v <= 0) {
@@ -332,6 +318,7 @@ int main(int argc, char** argv) {
         return 2;
       }
       jobs = std::uint32_t(*v);
+      sweep_flags.push_back("--jobs");
     } else if (args[i] == "--sweep" && i + 1 < args.size()) {
       for (std::string_view part : SplitChar(args[++i], ',')) {
         auto v = ParseInt(part);
@@ -343,6 +330,7 @@ int main(int argc, char** argv) {
       }
     } else if (args[i] == "--csv" && i + 1 < args.size()) {
       csv_path = args[++i];
+      sweep_flags.push_back("--csv");
     } else if (args[i] == "--metrics-json" && i + 1 < args.size()) {
       metrics_path = args[++i];
     } else if (args[i] == "--profile-interval" && i + 1 < args.size()) {
@@ -354,20 +342,33 @@ int main(int argc, char** argv) {
       profile_interval = *v;
     } else if (args[i] == "--stats") {
       stats = true;
+      run_flags.push_back("--stats");
     } else if (args[i] == "--memcheck") {
       memcheck_on = true;
+      run_flags.push_back("--memcheck");
     } else if (args[i] == "--profile") {
       profile = true;
+      run_flags.push_back("--profile");
     } else {
       loader_args.push_back(args[i]);
     }
   }
 
+  const bool sweep = !sweep_counts.empty();
+  const std::vector<std::string>& misplaced = sweep ? run_flags : sweep_flags;
+  if (!misplaced.empty()) {
+    std::fprintf(stderr, "dgc-run: %s %s\n", misplaced[0].c_str(),
+                 sweep ? "does not apply to --sweep"
+                       : "applies only with --sweep");
+    return 2;
+  }
+
   // Parse the loader's command line once, before any device exists: a bad
   // flag, value or --inject spec is a usage error in either mode.
-  auto loader = ensemble::ParseLoaderArgs(app, loader_args);
-  if (!loader.ok()) {
-    std::fprintf(stderr, "dgc-run: %s\n", loader.status().ToString().c_str());
+  auto options = ensemble::ParseLoaderArgs(app, loader_args);
+  if (!options.ok()) {
+    std::fprintf(stderr, "dgc-run: %s\n",
+                 options.status().ToString().c_str());
     return 2;
   }
   auto spec =
@@ -376,8 +377,8 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "%s\n", spec.status().ToString().c_str());
     return 2;
   }
-  if (!sweep_counts.empty()) {
-    return RunSweepMode(*loader, sweep_counts, jobs, csv_path, *spec, profile,
+  if (sweep) {
+    return RunSweepMode(*options, sweep_counts, jobs, csv_path, *spec,
                         metrics_path, std::uint64_t(profile_interval));
   }
   sim::Device device(*spec);
@@ -387,18 +388,16 @@ int main(int argc, char** argv) {
 
   sim::Trace trace{std::size_t(trace_capacity)};
   sim::Memcheck memcheck;
-  if (memcheck_on) memcheck.Attach(device.memory());
   const bool profiling = profile || !metrics_path.empty();
   sim::Profiler::Options profiler_options;
   if (profile_interval != 0) {
     profiler_options.sample_interval = std::uint64_t(profile_interval);
   }
   sim::Profiler profiler(profiler_options);
-  ensemble::EnsembleOptions& options = loader->options;
-  options.trace = trace_path.empty() ? nullptr : &trace;
-  options.memcheck = memcheck_on ? &memcheck : nullptr;
-  options.profiler = profiling ? &profiler : nullptr;
-  auto run = ensemble::RunLoaderArgs(env, *loader);
+  options->trace = trace_path.empty() ? nullptr : &trace;
+  options->memcheck = memcheck_on ? &memcheck : nullptr;
+  options->profiler = profiling ? &profiler : nullptr;
+  auto run = ensemble::RunEnsemble(env, *options);
   if (!run.ok()) {
     std::fprintf(stderr, "dgc-run: %s\n", run.status().ToString().c_str());
     return 2;
@@ -406,14 +405,7 @@ int main(int argc, char** argv) {
   PrintOutcome(*run, device.spec(), rpc, libc, stats, memcheck_on);
   if (profile) PrintProfile(*run, profiler);
   if (!metrics_path.empty()) {
-    ensemble::MetricsInfo info;
-    info.app = app;
-    info.device = spec->name;
-    info.thread_limit = options.thread_limit;
-    info.instances = std::uint32_t(run->instances.size());
-    info.teams_per_block = options.teams_per_block;
-    const Status s =
-        ensemble::WriteMetricsJson(metrics_path, info, *run, &profiler);
+    const Status s = ensemble::WriteMetricsJson(metrics_path, *run, &profiler);
     if (!s.ok()) {
       std::fprintf(stderr, "metrics export failed: %s\n",
                    s.ToString().c_str());
