@@ -38,7 +38,7 @@ CounterRun RunCounterEnsemble(ensemble::GlobalsMode mode) {
   CounterRun run;
   run.finals.assign(kTeams, 0);
   ompx::TeamsConfig cfg{.num_teams = kTeams, .thread_limit = 32};
-  cfg.memcheck = &memcheck;
+  cfg.launch.memcheck = &memcheck;
   auto result = ompx::LaunchTeams(
       device, cfg, [&](ompx::TeamCtx& team) -> DeviceTask<void> {
         auto slot = *globals.Slot<std::uint64_t>(team.team_id, "g_counter");

@@ -21,6 +21,9 @@ namespace dgc::ensemble {
 
 namespace {
 
+/// Each retry wave divides the team cap by this factor (floor 1 team).
+constexpr std::uint32_t kRetryShrink = 2;
+
 /// True when the team is back in its pristine state after a contained trap:
 /// every worker alive and parked at the team barrier, no parallel region in
 /// flight. Only then can the team safely pick up another instance — a trap
@@ -130,8 +133,6 @@ StatusOr<dgcf::RunResult> RunEnsemble(dgcf::AppEnv& env,
   const std::uint64_t launch_watchdog =
       options.watchdog_cycles != 0 ? options.watchdog_cycles
                                    : env.device->spec().DefaultWatchdogCycles();
-  const std::uint32_t shrink =
-      options.retry_shrink >= 2 ? options.retry_shrink : 1;
 
   // Wave 0 runs every instance; retry waves run only the instances that did
   // not complete execution (a returned nonzero exit *is* a completed
@@ -143,7 +144,7 @@ StatusOr<dgcf::RunResult> RunEnsemble(dgcf::AppEnv& env,
   for (std::uint32_t wave = 0; wave < options.max_attempts && !pending.empty();
        ++wave) {
     if (wave > 0) {
-      team_cap = std::max(1u, team_cap / shrink);
+      team_cap = std::max(1u, team_cap / kRetryShrink);
       // Retry waves reuse block ids; a fresh trace wave keeps their rows
       // (and Perfetto tids) distinct from the previous launch's.
       if (options.trace != nullptr) options.trace->BeginWave();
@@ -160,17 +161,17 @@ StatusOr<dgcf::RunResult> RunEnsemble(dgcf::AppEnv& env,
     cfg.num_teams = wave_teams;
     cfg.thread_limit = options.thread_limit;
     cfg.teams_per_block = options.teams_per_block;
-    cfg.name = wave == 0 ? "ensemble" : "ensemble-retry";
-    cfg.trace = options.trace;
-    cfg.memcheck = options.memcheck;
-    cfg.faults = plan;
-    cfg.profiler = options.profiler;
-    cfg.watchdog_cycles = launch_watchdog;
+    cfg.launch.name = wave == 0 ? "ensemble" : "ensemble-retry";
+    cfg.launch.trace = options.trace;
+    cfg.launch.memcheck = options.memcheck;
+    cfg.launch.faults = plan;
+    cfg.launch.profiler = options.profiler;
+    cfg.launch.watchdog_cycles = launch_watchdog;
     const std::uint32_t m = options.teams_per_block;
     const std::uint32_t team_size = options.thread_limit;
-    cfg.instance_of = [&current, wave_teams, m,
-                       team_size](std::uint32_t block_id,
-                                  std::uint32_t thread_id) -> std::int32_t {
+    cfg.launch.instance_of = [&current, wave_teams, m, team_size](
+                                 std::uint32_t block_id,
+                                 std::uint32_t thread_id) -> std::int32_t {
       const std::uint32_t team = block_id * m + thread_id / team_size;
       return team < wave_teams ? current[team] : -1;
     };
@@ -326,7 +327,7 @@ StatusOr<EnsembleOptions> ParseLoaderArgs(
   std::int64_t seed = 0;
   bool script = false;
   std::int64_t watchdog = 0, instance_watchdog = 0;
-  std::int64_t retry = 1, retry_shrink = 2;
+  std::int64_t retry = 1;
   std::string share_data = "on";
   std::string inject;
   ArgParser parser("GPU ensemble loader (paper Fig. 5c)");
@@ -347,8 +348,6 @@ StatusOr<EnsembleOptions> ParseLoaderArgs(
               "per-instance cycle budget (0 = off)", &instance_watchdog)
       .AddInt("retry", 0, "max launch attempts per failed instance",
               &retry)
-      .AddInt("retry-shrink", 0, "team-cap divisor per retry wave",
-              &retry_shrink)
       .AddString("share-data", 0,
                  "share read-only input data across identical instances "
                  "(on|off, default on)",
@@ -362,8 +361,7 @@ StatusOr<EnsembleOptions> ParseLoaderArgs(
     return Status(ErrorCode::kInvalidArgument,
                   "counts must be positive (instances/teams may be omitted)");
   }
-  if (watchdog < 0 || instance_watchdog < 0 || retry <= 0 ||
-      retry_shrink < 0) {
+  if (watchdog < 0 || instance_watchdog < 0 || retry <= 0) {
     return Status(ErrorCode::kInvalidArgument,
                   "--watchdog/--instance-watchdog must be >= 0 and "
                   "--retry must be positive");
@@ -385,7 +383,6 @@ StatusOr<EnsembleOptions> ParseLoaderArgs(
   options.watchdog_cycles = std::uint64_t(watchdog);
   options.instance_watchdog_cycles = std::uint64_t(instance_watchdog);
   options.max_attempts = std::uint32_t(retry);
-  options.retry_shrink = std::uint32_t(retry_shrink);
   options.share_data = share_data == "on";
 
   if (script) {

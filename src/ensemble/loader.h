@@ -70,13 +70,11 @@ struct EnsembleOptions {
   std::vector<std::uint64_t> instance_watchdogs;
   /// Total launch waves an abnormally-terminated instance may consume
   /// (first run + retries). 1 = no retry. Instances that *returned* with a
-  /// nonzero exit code completed execution and are never retried.
+  /// nonzero exit code completed execution and are never retried. Each
+  /// retry wave halves the team cap (min 1 team): relaunching failed
+  /// instances on a smaller wave relieves the memory/contention pressure
+  /// that commonly caused the failure.
   std::uint32_t max_attempts = 1;
-  /// When >= 2, each retry wave divides the team cap by this factor
-  /// (min 1 team): relaunching failed instances on a smaller wave relieves
-  /// the memory/contention pressure that commonly caused the failure.
-  /// 0 or 1 = retries reuse the original team count.
-  std::uint32_t retry_shrink = 2;
   /// Optional launch profiler (gpusim/profiler.h); null = off. The loader
   /// forwards it to every wave (one profiler observes all waves), records
   /// each instance's elapsed cycles, and fills RunResult::instance_stats.
@@ -94,15 +92,14 @@ struct EnsembleOptions {
 /// watchdog) or throws is *contained* — its InstanceResult records the
 /// TerminationReason and detail while sibling instances run to completion.
 /// With max_attempts > 1, instances that did not complete execution are
-/// relaunched in follow-up waves (see EnsembleOptions::retry_shrink).
+/// relaunched in follow-up waves (see EnsembleOptions::max_attempts).
 StatusOr<dgcf::RunResult> RunEnsemble(dgcf::AppEnv& env,
                                       const EnsembleOptions& options);
 
 /// Fig. 5c front end: parses `-f <file> -n <instances> -t <threads>` (plus
 /// -m/--teams/--script/--seed, `--share-data on|off` — default on — and the
-/// fault-tolerance flags
-/// --inject/--watchdog/--instance-watchdog/--retry/--retry-shrink) for
-/// `app` into the run they describe, with instance_args loaded from the -f
+/// fault-tolerance flags --inject/--watchdog/--instance-watchdog/--retry)
+/// for `app` into the run they describe, with instance_args loaded from the -f
 /// file (or expanded from it with --script) and --inject parsed into
 /// `faults`. trace/memcheck/profiler are left null for the caller to
 /// attach. Every value and the --inject spec are checked before the

@@ -1,16 +1,10 @@
 #include "gpusim/coalesce.h"
 
 #include <algorithm>
-#include <atomic>
 #include <bit>
 
 namespace dgc::sim {
 namespace {
-
-// Process-wide fast-path switch. Defaults to on; the determinism harness
-// flips it off to drive whole ensemble runs through the scalar reference
-// and assert byte-identical stats (tests/ensemble/perf_determinism_test).
-std::atomic<bool> g_fast_path{true};
 
 /// Sorts a warp-sized run of sector ids. Inputs here are at most a few
 /// dozen elements (32 lanes, rarely straddling), where an inlined
@@ -31,14 +25,6 @@ void SortSectors(std::vector<std::uint64_t>& v) {
 
 }  // namespace
 
-bool SetCoalesceFastPath(bool enabled) {
-  return g_fast_path.exchange(enabled, std::memory_order_relaxed);
-}
-
-bool CoalesceFastPathEnabled() {
-  return g_fast_path.load(std::memory_order_relaxed);
-}
-
 void CoalesceSectorsScalar(std::span<const LaneAccess> accesses,
                            std::uint32_t sector_bytes,
                            std::vector<std::uint64_t>& sectors_out) {
@@ -57,10 +43,6 @@ void CoalesceSectorsScalar(std::span<const LaneAccess> accesses,
 void CoalesceSectors(std::span<const LaneAccess> accesses,
                      std::uint32_t sector_bytes,
                      std::vector<std::uint64_t>& sectors_out) {
-  if (!g_fast_path.load(std::memory_order_relaxed)) {
-    CoalesceSectorsScalar(accesses, sector_bytes, sectors_out);
-    return;
-  }
   sectors_out.clear();
 
   // Sector size is a power of two on every real device, so addr→sector is

@@ -36,18 +36,11 @@ void CoalesceSectors(std::span<const LaneAccess> accesses,
                      std::vector<std::uint64_t>& sectors_out);
 
 /// Reference implementation: per-lane sector expansion followed by
-/// sort+unique, with no shape-dependent shortcuts. Kept callable so tests
-/// and the determinism harness can pin the fast path against it.
+/// sort+unique, with no shape-dependent shortcuts. The oracle the tests pin
+/// CoalesceSectors against.
 void CoalesceSectorsScalar(std::span<const LaneAccess> accesses,
                            std::uint32_t sector_bytes,
                            std::vector<std::uint64_t>& sectors_out);
-
-/// Enables/disables the CoalesceSectors fast path process-wide (default
-/// on); returns the previous setting. Off routes every call through the
-/// scalar reference — used by the determinism harness to prove the two
-/// paths produce byte-identical runs.
-bool SetCoalesceFastPath(bool enabled);
-bool CoalesceFastPathEnabled();
 
 /// The minimum number of sectors any permutation of these accesses could
 /// produce (= ceil(total distinct bytes / sector size) is a lower bound; we

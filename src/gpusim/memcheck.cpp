@@ -186,23 +186,21 @@ void Memcheck::OnLaunchBegin(const LaunchConfig& config) {
 }
 
 void Memcheck::OnLaunchEnd(LaunchStats& stats) {
-  if (config_.check_leaks) {
-    for (auto& [addr, shadow] : live_) {
-      if (!shadow.device_alloc || shadow.leak_reported) continue;
-      shadow.leak_reported = true;
-      MemcheckFinding f;
-      f.kind = MemcheckErrorKind::kLeak;
-      f.addr = addr;
-      f.bytes = shadow.bytes;
-      f.attributed = shadow.alloc_attributed;
-      f.block_id = shadow.alloc_block;
-      f.thread_id = shadow.alloc_thread;
-      f.lane_id = shadow.alloc_thread % 32;
-      f.warp_id = shadow.alloc_thread / 32;
-      f.instance = shadow.alloc_instance;
-      DescribeRegion(f, shadow);
-      Record(std::move(f));
-    }
+  for (auto& [addr, shadow] : live_) {
+    if (!shadow.device_alloc || shadow.leak_reported) continue;
+    shadow.leak_reported = true;
+    MemcheckFinding f;
+    f.kind = MemcheckErrorKind::kLeak;
+    f.addr = addr;
+    f.bytes = shadow.bytes;
+    f.attributed = shadow.alloc_attributed;
+    f.block_id = shadow.alloc_block;
+    f.thread_id = shadow.alloc_thread;
+    f.lane_id = shadow.alloc_thread % 32;
+    f.warp_id = shadow.alloc_thread / 32;
+    f.instance = shadow.alloc_instance;
+    DescribeRegion(f, shadow);
+    Record(std::move(f));
   }
   stats.memcheck_findings += report_.total() - findings_at_launch_begin_;
   findings_at_launch_begin_ = report_.total();
@@ -211,7 +209,7 @@ void Memcheck::OnLaunchEnd(LaunchStats& stats) {
 bool Memcheck::CheckAccess(const Lane& lane, DeviceOp::Kind op,
                            DeviceAddr addr, std::uint32_t bytes,
                            bool is_write) {
-  if (config_.check_alignment && bytes != 0 && addr % bytes != 0) {
+  if (bytes != 0 && addr % bytes != 0) {
     MemcheckFinding f;
     f.kind = MemcheckErrorKind::kMisaligned;
     f.op = op;
@@ -252,8 +250,7 @@ bool Memcheck::CheckAccess(const Lane& lane, DeviceOp::Kind op,
     return addr + bytes <= region->addr + region->rounded;
   }
 
-  if (config_.check_cross_instance && is_write &&
-      region->owner != kNoInstance) {
+  if (is_write && region->owner != kNoInstance) {
     const std::int32_t inst = InstanceOf(lane);
     if (inst != kNoInstance) {
       bool race = false;

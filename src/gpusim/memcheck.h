@@ -68,13 +68,6 @@ const char* ToString(MemcheckErrorKind kind);
 struct MemcheckConfig {
   /// Findings stored verbatim in the report; counters keep counting beyond.
   std::uint32_t max_findings = 64;
-  /// Report accesses not naturally aligned to their width.
-  bool check_alignment = true;
-  /// Run the cross-instance (ensemble isolation) checker. Inert until
-  /// regions are tagged / team→instance mappings are set.
-  bool check_cross_instance = true;
-  /// Flag device-code allocations still live when a kernel retires.
-  bool check_leaks = true;
 };
 
 struct MemcheckFinding {

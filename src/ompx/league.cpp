@@ -30,17 +30,10 @@ StatusOr<sim::LaunchResult> LaunchTeams(sim::Device& device,
 
   const std::uint32_t m = cfg.teams_per_block;
   const std::uint32_t blocks = (cfg.num_teams + m - 1) / m;
-  sim::LaunchConfig launch;
+  sim::LaunchConfig launch = cfg.launch;
   launch.grid = {blocks, 1, 1};
   launch.block = {cfg.thread_limit, m, 1};
-  launch.shared_bytes = m * kTeamSharedReserve + cfg.user_shared_bytes;
-  launch.name = cfg.name;
-  launch.trace = cfg.trace;
-  launch.memcheck = cfg.memcheck;
-  launch.faults = cfg.faults;
-  launch.watchdog_cycles = cfg.watchdog_cycles;
-  launch.instance_of = cfg.instance_of;
-  launch.profiler = cfg.profiler;
+  launch.shared_bytes = m * kTeamSharedReserve;
 
   const std::uint32_t num_teams = cfg.num_teams;
   const std::uint32_t team_size = cfg.thread_limit;

@@ -20,26 +20,11 @@ struct TeamsConfig {
   /// with each row an independent team (paper §3.1; 1 = the paper's
   /// implemented mapping).
   std::uint32_t teams_per_block = 1;
-  /// Extra shared memory per block for user kernels, beyond the runtime's
-  /// per-team reduction slots.
-  std::uint32_t user_shared_bytes = 0;
-  const char* name = "target-teams";
-  /// Optional instruction trace sink (gpusim/trace.h).
-  sim::Trace* trace = nullptr;
-  /// Optional shadow-memory sanitizer (gpusim/memcheck.h), forwarded to the
-  /// kernel launch; must already be attached to the device's memory.
-  sim::Memcheck* memcheck = nullptr;
-  /// Optional deterministic fault-injection plan (gpusim/faults.h),
-  /// forwarded to the kernel launch; null = off.
-  sim::FaultPlan* faults = nullptr;
-  /// Launch watchdog cycle budget (0 = disabled); see LaunchConfig.
-  std::uint64_t watchdog_cycles = 0;
-  /// Optional instance attribution for lane-failure messages; installed by
-  /// the ensemble loader (see sim::InstanceOfFn).
-  sim::InstanceOfFn instance_of = nullptr;
-  /// Optional launch profiler (gpusim/profiler.h), forwarded to the kernel
-  /// launch; attributes counters per instance through `instance_of`.
-  sim::Profiler* profiler = nullptr;
+  /// The kernel launch: name, observers (trace, memcheck, faults,
+  /// profiler, instance_of) and watchdog budget. LaunchTeams launches a
+  /// copy whose grid, block and shared_bytes it derives from the fields
+  /// above, so values set for those three here are ignored.
+  sim::LaunchConfig launch{.name = "target-teams"};
 };
 
 /// The per-team entry point, run by the team's initial thread only (the

@@ -1,7 +1,7 @@
 // Failure policy: service-level retry backoff and per-app circuit breaking.
 //
-// PR 3's loader already retries *within* a launch (waves with team-cap
-// shrink). The service layers two more mechanisms on top:
+// Each service launch runs its batch as one ensemble wave; the loader's
+// within-launch retry waves stay off. Two mechanisms handle failure:
 //
 //  - RetryPolicy: a job whose launch attempt terminated abnormally is
 //    re-enqueued after an exponential backoff delay, up to a per-job
@@ -9,7 +9,7 @@
 //    deterministically with the rest of the event stream.
 //
 //  - CircuitBreaker (one per app): an app whose jobs trap K times in a row
-//    would otherwise poison every wave it is packed into. After K
+//    would otherwise poison every launch it is packed into. After K
 //    consecutive abnormal terminations the breaker opens — new submissions
 //    for the app are rejected (kQuarantined) and queued jobs wait — for a
 //    cooldown period. It then half-opens: the scheduler launches a single
@@ -23,8 +23,8 @@
 namespace dgc::serve {
 
 struct RetryPolicy {
-  /// Total service-level launch attempts per job (1 = no retry). Distinct
-  /// from EnsembleOptions::max_attempts, which retries *within* a launch.
+  /// Total service-level launch attempts per job (1 = no retry). The only
+  /// retry a job gets: service launches never retry within the launch.
   std::uint32_t job_attempts = 1;
   /// Backoff before attempt N+1 = backoff_base << (N-1) cycles.
   std::uint64_t backoff_base = 4096;

@@ -468,8 +468,6 @@ bool Scheduler::StartOneLaunch(std::uint32_t s) {
     options.app = app;
     options.thread_limit = config_.thread_limit;
     options.teams_per_block = config_.teams_per_block;
-    options.max_attempts = config_.launch_attempts;
-    options.retry_shrink = config_.retry_shrink;
     options.watchdog_cycles = config_.watchdog_cycles;
     options.instance_watchdog_cycles = config_.instance_watchdog_cycles;
     options.share_data = config_.share_data;

@@ -17,7 +17,7 @@
 //   admission   occupancy team cap + learned memory estimates (admission.h)
 //   backpressure bounded queue, reject-with-reason (queue.h)
 //   deadlines   per-job budgets lowered onto instance watchdogs
-//   retry       exponential backoff + per-wave team-cap shrink (policy.h)
+//   retry       per-job relaunch with exponential backoff (policy.h)
 //   quarantine  per-app circuit breaker with half-open probes (policy.h)
 //   drain       finish in-flight, cancel queued, reject new, final report
 //   chaos       seeded service-level fault schedule (chaos.h)
@@ -57,9 +57,6 @@ struct ServeConfig {
   AdmissionConfig admission;
   RetryPolicy retry;
   CircuitBreaker::Config breaker;
-  /// Within-launch retry waves (EnsembleOptions::max_attempts/retry_shrink).
-  std::uint32_t launch_attempts = 1;
-  std::uint32_t retry_shrink = 2;
   std::uint64_t watchdog_cycles = 0;          ///< per-launch budget (0=spec)
   std::uint64_t instance_watchdog_cycles = 0; ///< per-instance cap (0=off)
   bool share_data = false;

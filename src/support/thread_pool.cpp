@@ -53,34 +53,6 @@ std::future<void> ThreadPool::Submit(std::function<void()> job) {
   return future;
 }
 
-Status ThreadPool::RunAll(std::vector<std::function<void()>> jobs) {
-  if (jobs.empty()) {
-    return Status(ErrorCode::kInvalidArgument,
-                  "ThreadPool::RunAll: no jobs to run");
-  }
-  for (const auto& job : jobs) {
-    if (job == nullptr) {
-      return Status(ErrorCode::kInvalidArgument,
-                    "ThreadPool::RunAll: null job");
-    }
-  }
-  std::vector<std::future<void>> futures;
-  futures.reserve(jobs.size());
-  for (auto& job : jobs) futures.push_back(Submit(std::move(job)));
-  // Wait for everything before reporting, so no job outlives the caller's
-  // state; the smallest-index exception wins (deterministic under races).
-  std::exception_ptr first_error;
-  for (std::future<void>& future : futures) {
-    try {
-      future.get();
-    } catch (...) {
-      if (!first_error) first_error = std::current_exception();
-    }
-  }
-  if (first_error) std::rethrow_exception(first_error);
-  return Status::Ok();
-}
-
 Status ThreadPool::RunAllParticipating(std::vector<std::function<void()>> jobs) {
   if (jobs.empty()) {
     return Status(ErrorCode::kInvalidArgument,
@@ -116,7 +88,9 @@ Status ThreadPool::RunAllParticipating(std::vector<std::function<void()>> jobs) 
     }
     task();
   }
-  // Tasks picked up by workers may still be in flight; wait on the batch.
+  // Tasks picked up by workers may still be in flight; wait for the whole
+  // batch before reporting, so no job outlives the caller's state. The
+  // smallest-index exception wins (deterministic under races).
   std::exception_ptr first_error;
   for (std::future<void>& future : futures) {
     try {

@@ -4,8 +4,8 @@
 // The pool is deliberately simple: a FIFO queue drained by N workers. Jobs
 // start in submission order; completion order is up to the host scheduler,
 // so callers that need deterministic output must write results into
-// pre-assigned slots and assemble them after RunAll returns (exactly what
-// the sweep runner does).
+// pre-assigned slots and assemble them after the batch returns (exactly
+// what the sweep runner does, through ParallelFor).
 #pragma once
 
 #include <condition_variable>
@@ -39,23 +39,15 @@ class ThreadPool {
   /// The future completes when the job returns or throws.
   std::future<void> Submit(std::function<void()> job);
 
-  /// Submits every job and blocks until all of them finished. An empty
-  /// batch or a null job is rejected with kInvalidArgument before anything
-  /// runs. If jobs throw, every job still runs to completion and then the
-  /// exception of the smallest-index throwing job is rethrown.
-  ///
-  /// The caller only waits — a pool worker calling RunAll on its own pool
-  /// deadlocks when no other worker is free. Nested use must go through
-  /// RunAllParticipating.
-  Status RunAll(std::vector<std::function<void()>> jobs);
-
-  /// RunAll, with the calling thread draining the queue alongside the
-  /// workers until its batch is done. Progress is guaranteed even when
-  /// every worker is busy (or the pool is the caller's own): the caller
-  /// itself runs whatever is still queued. This is the nested-submission
-  /// path: a pool worker that submits a batch of its own (ParallelFor
-  /// called from a job) must use it. Validation and exception semantics
-  /// match RunAll.
+  /// Queues every job and blocks until all of them finished, with the
+  /// calling thread draining the queue alongside the workers until its
+  /// batch is done. Progress is guaranteed even when every worker is busy
+  /// (or the pool is the caller's own): the caller itself runs whatever is
+  /// still queued, so a pool worker may submit a batch of its own
+  /// (ParallelFor called from a job). An empty batch or a null job is
+  /// rejected with kInvalidArgument before anything runs. If jobs throw,
+  /// every job still runs to completion and then the exception of the
+  /// smallest-index throwing job is rethrown.
   Status RunAllParticipating(std::vector<std::function<void()>> jobs);
 
  private:
@@ -74,7 +66,7 @@ class ThreadPool {
 /// plus the calling thread run the calls concurrently
 /// (RunAllParticipating), so calling from inside another pool's worker can
 /// never deadlock and never idles the caller. Rejects count == 0 with
-/// kInvalidArgument. Exceptions propagate as in ThreadPool::RunAll (inline
+/// kInvalidArgument. Exceptions propagate as in RunAllParticipating (inline
 /// mode throws at the first failing index).
 Status ParallelFor(std::size_t count, unsigned threads,
                    const std::function<void(std::size_t)>& body);

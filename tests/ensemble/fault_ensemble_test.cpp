@@ -141,7 +141,6 @@ TEST(FaultEnsemble, RetryRecoversTheOomInstanceOnASmallerWave) {
   auto opt = MixedOptions();
   opt.faults = *FaultPlan::Parse("malloc-fail@1");
   opt.max_attempts = 2;
-  opt.retry_shrink = 2;
   auto run = RunEnsemble(env.app_env, opt);
   ASSERT_TRUE(run.ok()) << run.status().ToString();
   EXPECT_EQ(run->waves, 2u);
@@ -158,6 +157,32 @@ TEST(FaultEnsemble, RetryRecoversTheOomInstanceOnASmallerWave) {
   EXPECT_EQ(run->instances[5].reason, TerminationReason::kWatchdog);
   EXPECT_EQ(run->instances[5].attempts, 2u);
   EXPECT_FALSE(run->all_ok());
+}
+
+TEST(FaultEnsemble, RetryWaveHalvesTheTeamCap) {
+  // Eight allocating instances on eight teams; the first six mallocs fail,
+  // so more instances fail than half the team cap. Wave 2 must launch
+  // min(cap / 2, pending) = 4 teams (one block each), and each of them
+  // recovers its share of the six failed instances.
+  Env env;
+  EnsembleOptions opt;
+  opt.app = "faultprobe";
+  opt.instance_args.assign(8, {"-o"});
+  opt.thread_limit = 8;
+  opt.faults = *FaultPlan::Parse("malloc-fail@1,2,3,4,5,6");
+  opt.max_attempts = 2;
+  auto run = RunEnsemble(env.app_env, opt);
+  ASSERT_TRUE(run.ok()) << run.status().ToString();
+  EXPECT_EQ(run->waves, 2u);
+  EXPECT_EQ(run->stats.blocks_launched, 8u + 4u);
+  std::uint32_t retried = 0;
+  for (const dgcf::InstanceResult& inst : run->instances) {
+    EXPECT_TRUE(inst.completed);
+    EXPECT_EQ(inst.exit_code, 0);
+    if (inst.attempts == 2) ++retried;
+  }
+  EXPECT_EQ(retried, 6u);
+  EXPECT_TRUE(run->all_ok());
 }
 
 TEST(FaultEnsemble, RetryWaveLeavesFirstWaveSiblingsUntouched) {
@@ -359,7 +384,6 @@ TEST(FaultSweep, InjectedSweepIsByteIdenticalForAnyJobCount) {
 TEST(FaultSweep, RetryInSweepRecoversInjectedPoint) {
   ExperimentConfig cfg = FaultSweepConfig();
   cfg.run.max_attempts = 2;
-  cfg.run.retry_shrink = 2;
   auto series = MeasureSpeedup(cfg);
   ASSERT_TRUE(series.ok()) << series.status().ToString();
   // With a retry, the injected allocation failure is consumed in wave 1

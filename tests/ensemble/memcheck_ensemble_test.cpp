@@ -36,8 +36,8 @@ sim::MemcheckReport RunGlobalsWrites(GlobalsMode mode) {
   }
 
   ompx::TeamsConfig cfg{.num_teams = teams, .thread_limit = 32};
-  cfg.name = "globals-probe";
-  cfg.memcheck = &memcheck;
+  cfg.launch.name = "globals-probe";
+  cfg.launch.memcheck = &memcheck;
   auto result = ompx::LaunchTeams(
       device, cfg, [&](TeamCtx& team) -> DeviceTask<void> {
         auto slot = globals.Slot<std::uint64_t>(team.team_id, "g_state");
@@ -76,7 +76,7 @@ TEST(EnsembleMemcheck, WriteToForeignReplicaIsFlagged) {
   memcheck.SetTeamInstance(0, 0);
 
   ompx::TeamsConfig cfg{.num_teams = 1, .thread_limit = 32};
-  cfg.memcheck = &memcheck;
+  cfg.launch.memcheck = &memcheck;
   auto result = ompx::LaunchTeams(
       device, cfg, [&](TeamCtx& team) -> DeviceTask<void> {
         // Instance 0 writes instance 1's replica — exactly the bug class

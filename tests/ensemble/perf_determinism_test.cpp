@@ -1,22 +1,12 @@
-// Determinism harness for the hot-path optimizations (ctest label: perf).
+// Determinism harness for the parallel sweep (ctest label: perf).
 //
-// The simulator's speed work (warp scratch reuse, coalescer fast path,
-// masked cache indexing, duplicate wake-up suppression) is gated by a
-// byte-identical-stats bar: a fig6a-style sweep at small scale must render
-// the same CSV and the same dgc-metrics-v1 sidecars whether the coalescer
-// runs its optimized path or the scalar reference, and for any --jobs
-// value — the same bar RunSweeps already meets.
+// A fig6a-style sweep at small scale must render the same CSV and the same
+// dgc-metrics-v1 sidecars for any --jobs value. (The coalescer's fast path
+// is pinned against its scalar reference per call, in coalesce_test.)
 #include <gtest/gtest.h>
 
 #include "apps/common.h"
-#include "dgcf/libc.h"
-#include "dgcf/rpc.h"
 #include "ensemble/experiment.h"
-#include "ensemble/loader.h"
-#include "ensemble/metrics.h"
-#include "gpusim/coalesce.h"
-#include "gpusim/device.h"
-#include "gpusim/profiler.h"
 #include "support/str.h"
 
 namespace dgc::ensemble {
@@ -59,13 +49,11 @@ struct PanelRender {
   std::vector<std::string> sidecars;  ///< dgc-metrics-v1 per ran point
 };
 
-PanelRender RunPanel(std::uint32_t jobs, bool fast_path) {
+PanelRender RunPanel(std::uint32_t jobs) {
   apps::RegisterAllApps();
-  const bool was = sim::SetCoalesceFastPath(fast_path);
   SweepOptions options;
   options.jobs = jobs;
   auto series = RunSweeps(SmallFig6aConfigs(), options);
-  sim::SetCoalesceFastPath(was);
   EXPECT_TRUE(series.ok()) << series.status().ToString();
   PanelRender render;
   if (!series.ok()) return render;
@@ -79,64 +67,14 @@ PanelRender RunPanel(std::uint32_t jobs, bool fast_path) {
   return render;
 }
 
-TEST(PerfDeterminism, FastPathMatchesScalarReferenceEndToEnd) {
-  const PanelRender fast = RunPanel(/*jobs=*/1, /*fast_path=*/true);
-  const PanelRender scalar = RunPanel(/*jobs=*/1, /*fast_path=*/false);
-  EXPECT_EQ(fast.csv, scalar.csv);
-  ASSERT_EQ(fast.sidecars.size(), scalar.sidecars.size());
-  for (std::size_t i = 0; i < fast.sidecars.size(); ++i) {
-    EXPECT_EQ(fast.sidecars[i], scalar.sidecars[i]) << "sidecar " << i;
-  }
-}
-
 TEST(PerfDeterminism, JobsCountDoesNotChangeOutput) {
-  const PanelRender serial = RunPanel(/*jobs=*/1, /*fast_path=*/true);
-  const PanelRender parallel = RunPanel(/*jobs=*/4, /*fast_path=*/true);
+  const PanelRender serial = RunPanel(/*jobs=*/1);
+  const PanelRender parallel = RunPanel(/*jobs=*/4);
   EXPECT_EQ(serial.csv, parallel.csv);
   ASSERT_EQ(serial.sidecars.size(), parallel.sidecars.size());
   for (std::size_t i = 0; i < serial.sidecars.size(); ++i) {
     EXPECT_EQ(serial.sidecars[i], parallel.sidecars[i]) << "sidecar " << i;
   }
-}
-
-TEST(PerfDeterminism, ScalarPathUnderParallelJobsStillIdentical) {
-  // Crossed axes: the toggle is process-wide, so exercise scalar × jobs=4
-  // against the fast × jobs=1 reference too.
-  const PanelRender reference = RunPanel(/*jobs=*/1, /*fast_path=*/true);
-  const PanelRender crossed = RunPanel(/*jobs=*/4, /*fast_path=*/false);
-  EXPECT_EQ(reference.csv, crossed.csv);
-  ASSERT_EQ(reference.sidecars.size(), crossed.sidecars.size());
-  for (std::size_t i = 0; i < reference.sidecars.size(); ++i) {
-    EXPECT_EQ(reference.sidecars[i], crossed.sidecars[i]) << "sidecar " << i;
-  }
-}
-
-TEST(PerfDeterminism, SingleEnsembleLaunchStatsIdenticalAcrossPaths) {
-  // One profiled ensemble launch, compared counter-for-counter via the
-  // metrics document (it serializes every LaunchStats field, launch-global
-  // and per-instance).
-  apps::RegisterAllApps();
-  auto run_once = [](bool fast_path) {
-    const bool was = sim::SetCoalesceFastPath(fast_path);
-    sim::Device device(sim::DeviceSpec::TestDevice());
-    dgcf::RpcHost rpc(device);
-    dgcf::DeviceLibc libc(device);
-    dgcf::AppEnv env{&device, &rpc, &libc};
-    sim::Profiler profiler;
-    EnsembleOptions opt;
-    opt.app = "xsbench";
-    for (int i = 0; i < 4; ++i) {
-      opt.instance_args.push_back(
-          {"-i", "8", "-g", "64", "-l", "96", "-s", StrFormat("%d", i + 1)});
-    }
-    opt.thread_limit = 32;
-    opt.profiler = &profiler;
-    auto run = RunEnsemble(env, opt);
-    sim::SetCoalesceFastPath(was);
-    EXPECT_TRUE(run.ok());
-    return FormatMetricsJson(*run, &profiler);
-  };
-  EXPECT_EQ(run_once(true), run_once(false));
 }
 
 }  // namespace

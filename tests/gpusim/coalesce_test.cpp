@@ -176,19 +176,44 @@ TEST(CoalesceFastPathProperty, MatchesScalarOnRandomizedPatterns) {
     EXPECT_EQ(Sectors(accesses), ScalarSectors(accesses))
         << "trial=" << trial << " mode=" << mode;
   }
-}
-
-TEST(CoalesceFastPath, ToggleRoutesThroughScalar) {
-  std::vector<LaneAccess> accesses;
-  for (int i = 0; i < 32; ++i) {
-    accesses.push_back({0x10000 + std::uint64_t(i) * 8, 8});
+  // App-shaped patterns: the warp accesses the four apps issue (only active
+  // lanes reach the coalescer, so a partial warp is a shorter run).
+  for (int trial = 0; trial < 600; ++trial) {
+    std::vector<LaneAccess> accesses;
+    const std::uint32_t mode = std::uint32_t(trial) % 3;
+    switch (mode) {
+      case 0: {  // unit stride, 4/8-byte lanes, full or partial warp
+        const std::uint32_t bytes = rng.NextBounded(2) == 0 ? 4 : 8;
+        const std::uint32_t lanes =
+            rng.NextBounded(2) == 0 ? 32 : 1 + rng.NextBounded(31);
+        const std::uint64_t base = 0x40000 + bytes * rng.NextBounded(4096);
+        for (std::uint32_t i = 0; i < lanes; ++i) {
+          accesses.push_back({base + std::uint64_t(i) * bytes, bytes});
+        }
+        break;
+      }
+      case 1: {  // 8-byte gathers at random table indices
+        const std::uint32_t lanes = 1 + rng.NextBounded(32);
+        for (std::uint32_t i = 0; i < lanes; ++i) {
+          accesses.push_back({0x40000 + 8 * rng.NextBounded(1 << 14), 8});
+        }
+        break;
+      }
+      default: {  // misaligned unit-stride run whose lanes straddle sectors
+        const std::uint32_t bytes = 4u << rng.NextBounded(3);  // 4, 8, 16
+        const std::uint32_t lanes = 2 + rng.NextBounded(31);
+        const std::uint64_t base = 0x40000 +
+                                   kSector * rng.NextBounded(4096) + kSector -
+                                   bytes + 1 + rng.NextBounded(bytes - 1);
+        for (std::uint32_t i = 0; i < lanes; ++i) {
+          accesses.push_back({base + std::uint64_t(i) * bytes, bytes});
+        }
+        break;
+      }
+    }
+    EXPECT_EQ(Sectors(accesses), ScalarSectors(accesses))
+        << "app-shaped trial=" << trial << " mode=" << mode;
   }
-  ASSERT_TRUE(CoalesceFastPathEnabled());
-  const bool was = SetCoalesceFastPath(false);
-  EXPECT_TRUE(was);
-  EXPECT_FALSE(CoalesceFastPathEnabled());
-  EXPECT_EQ(Sectors(accesses), ScalarSectors(accesses));
-  SetCoalesceFastPath(true);
 }
 
 // Property: merging two warps' accesses never yields fewer sectors than the

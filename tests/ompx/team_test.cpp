@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include "ompx/league.h"
-#include "ompx/mapping.h"
 #include "ompx/team.h"
 
 namespace dgc::ompx {
@@ -246,49 +245,6 @@ TEST(LaunchTeams, InvalidConfigsRejected) {
   EXPECT_FALSE(
       LaunchTeams(*dev, {.thread_limit = 512, .teams_per_block = 4}, noop)
           .ok());
-}
-
-TEST(DataEnv, MapToCopiesAndCharges) {
-  auto dev = MakeDevice();
-  DataEnv env(*dev);
-  std::vector<double> host{1, 2, 3, 4};
-  auto buf = env.MapTo(host.data(), host.size() * sizeof(double));
-  ASSERT_TRUE(buf.ok());
-  EXPECT_DOUBLE_EQ(buf->Typed<double>()[2], 3.0);
-  EXPECT_GT(env.transfer_cycles(), 0u);
-  EXPECT_EQ(env.bytes_to_device(), 32u);
-}
-
-TEST(DataEnv, MapFromCopiesBackOnSync) {
-  auto dev = MakeDevice();
-  std::vector<std::uint32_t> host(4, 0);
-  DataEnv env(*dev);
-  auto buf = env.MapFrom(host.data(), host.size() * sizeof(std::uint32_t));
-  ASSERT_TRUE(buf.ok());
-  // MapFrom rounds the allocation up to the device alignment, so only the
-  // host-visible prefix matters.
-  for (int i = 0; i < 4; ++i) buf->Typed<std::uint32_t>()[i] = 100 + i;
-  env.Sync();
-  EXPECT_EQ(host[3], 103u);
-}
-
-TEST(DataEnv, ReleasesAllocationsOnDestruction) {
-  auto dev = MakeDevice();
-  {
-    DataEnv env(*dev);
-    ASSERT_TRUE(env.MapAlloc(4096).ok());
-    ASSERT_TRUE(env.MapAlloc(4096).ok());
-    EXPECT_EQ(dev->memory().allocation_count(), 2u);
-  }
-  EXPECT_EQ(dev->memory().allocation_count(), 0u);
-}
-
-TEST(DataEnv, PropagatesOom) {
-  auto dev = MakeDevice();
-  DataEnv env(*dev);
-  auto r = env.MapAlloc(dev->spec().global_memory_bytes + 1);
-  ASSERT_FALSE(r.ok());
-  EXPECT_EQ(r.status().code(), ErrorCode::kOutOfMemory);
 }
 
 }  // namespace

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <future>
 #include <mutex>
 #include <stdexcept>
 #include <vector>
@@ -36,25 +37,25 @@ TEST(ThreadPool, RunAllRunsEveryJob) {
   for (std::size_t i = 0; i < kJobs; ++i) {
     jobs.push_back([&hits, i] { hits[i] += 1; });  // slot per job: no races
   }
-  ASSERT_TRUE(pool.RunAll(std::move(jobs)).ok());
+  ASSERT_TRUE(pool.RunAllParticipating(std::move(jobs)).ok());
   for (std::size_t i = 0; i < kJobs; ++i) EXPECT_EQ(hits[i], 1) << i;
 }
 
 TEST(ThreadPool, SingleWorkerPreservesSubmissionOrder) {
   ThreadPool pool(1);
   std::vector<int> order;
-  std::vector<std::function<void()>> jobs;
+  std::vector<std::future<void>> futures;
   for (int i = 0; i < 16; ++i) {
-    jobs.push_back([&order, i] { order.push_back(i); });
+    futures.push_back(pool.Submit([&order, i] { order.push_back(i); }));
   }
-  ASSERT_TRUE(pool.RunAll(std::move(jobs)).ok());
+  for (std::future<void>& future : futures) future.get();
   ASSERT_EQ(order.size(), 16u);
   for (int i = 0; i < 16; ++i) EXPECT_EQ(order[std::size_t(i)], i);
 }
 
 TEST(ThreadPool, ZeroJobsRejected) {
   ThreadPool pool(2);
-  const Status s = pool.RunAll({});
+  const Status s = pool.RunAllParticipating({});
   ASSERT_FALSE(s.ok());
   EXPECT_EQ(s.code(), ErrorCode::kInvalidArgument);
 }
@@ -65,7 +66,7 @@ TEST(ThreadPool, NullJobRejectedBeforeAnythingRuns) {
   std::vector<std::function<void()>> jobs;
   jobs.push_back([&] { ++ran; });
   jobs.push_back(nullptr);
-  const Status s = pool.RunAll(std::move(jobs));
+  const Status s = pool.RunAllParticipating(std::move(jobs));
   ASSERT_FALSE(s.ok());
   EXPECT_EQ(s.code(), ErrorCode::kInvalidArgument);
   EXPECT_EQ(ran, 0);
@@ -80,7 +81,7 @@ TEST(ThreadPool, FirstIndexExceptionPropagatesAfterAllJobsFinish) {
   jobs.push_back([] { throw std::logic_error("job 2 failed"); });
   jobs.push_back([&] { ++completed; });
   try {
-    const Status status = pool.RunAll(std::move(jobs));
+    const Status status = pool.RunAllParticipating(std::move(jobs));
     FAIL() << "expected an exception, got " << status.ToString();
   } catch (const std::runtime_error& e) {
     // The smallest-index throwing job wins, not whichever finished first.
@@ -120,11 +121,11 @@ TEST(ThreadPool, ParallelForInlineModeThrowsAtFirstFailingIndex) {
 // --- Nested submission (the sweep-worker-runs-a-threaded-launch shape) -----
 
 TEST(ThreadPool, NestedRunAllParticipatingFromOwnWorkerCompletes) {
-  // Regression: a pool worker fanning a batch back into its own pool. With
-  // plain RunAll this deadlocks on a single-worker pool — the worker waits
-  // for jobs only it could run. RunAllParticipating drains the queue on
-  // the calling (worker) thread, so the batch completes regardless of how
-  // many workers are free.
+  // Regression: a pool worker fanning a batch back into its own pool. A
+  // batch call that only waited would deadlock on a single-worker pool —
+  // the worker waits for jobs only it could run. RunAllParticipating
+  // drains the queue on the calling (worker) thread, so the batch
+  // completes regardless of how many workers are free.
   ThreadPool pool(1);
   std::atomic<int> inner_runs{0};
   auto outer = pool.Submit([&] {

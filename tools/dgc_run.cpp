@@ -236,9 +236,8 @@ int main(int argc, char** argv) {
         "                 trap when it expires (0 = device default)\n"
         "  --instance-watchdog <cycles>  per-instance budget (0 = off)\n"
         "  --retry <n>    max launch attempts per failed instance\n"
-        "                 (default 1 = no retry)\n"
-        "  --retry-shrink <n>  divide the team cap by <n> each retry wave\n"
-        "                 (default 2)\n"
+        "                 (default 1 = no retry); each retry wave halves\n"
+        "                 the team cap\n"
         "  --share-data <on|off>  share read-only input segments across\n"
         "                 instances with identical workloads (default on;\n"
         "                 off reproduces the duplicated per-instance layout)\n\n"

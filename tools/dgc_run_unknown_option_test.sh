@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # Loader options dgc-run does not define must be usage errors: exit 2 with
 # an "unknown option" message, in ensemble and --sweep mode alike, before
-# any simulation runs. Checked with --launch-{threads,window}, which
-# earlier versions accepted.
+# any simulation runs. Checked with --launch-{threads,window} and
+# --retry-shrink, which earlier versions accepted.
 #
 #   dgc_run_unknown_option_test.sh <dgc-run> <argument file>
 set -u
@@ -25,12 +25,12 @@ expect_usage_error() {
   fi
 }
 
-for option in "threads 2" "window 0"; do
+for option in "--launch-threads 2" "--launch-window 0" "--retry-shrink 2"; do
   read -r name value <<<"$option"
   expect_usage_error rsbench --device test -f "$ARGS" -n 2 -t 32 \
-    "--launch-$name" "$value"
+    "$name" "$value"
   expect_usage_error rsbench --device test --sweep 1,2 -f "$ARGS" -t 32 \
-    "--launch-$name" "$value"
+    "$name" "$value"
 done
 [ "$fail" = 0 ] && echo "unknown-option: ok"
 exit "$fail"

@@ -76,8 +76,6 @@ int Usage(int code) {
       "  --job-attempts <n>     service-level attempts per job (default 1)\n"
       "  --backoff <cycles>     retry backoff base, doubles per attempt\n"
       "                         (default 4096)\n"
-      "  --launch-retry <n>     within-launch retry waves (default 1)\n"
-      "  --retry-shrink <n>     team-cap divisor per retry wave (default 2)\n"
       "  --quarantine-after <k> consecutive failures that open an app's\n"
       "                         circuit breaker (default 3; 0 = off)\n"
       "  --quarantine-cooldown <cycles>  breaker cooldown before a probe\n"
@@ -180,7 +178,6 @@ int main(int argc, char** argv) {
   std::int64_t mem_estimate = std::int64_t(1) << 20;
   double headroom = 90.0;
   std::int64_t job_attempts = 1, backoff = 4096;
-  std::int64_t launch_retry = 1, retry_shrink = 2;
   std::int64_t quarantine_after = 3, quarantine_cooldown = 65536;
   std::int64_t watchdog = 0, instance_watchdog = 0;
   std::string share_data = "on";
@@ -207,9 +204,6 @@ int main(int argc, char** argv) {
       .AddInt("job-attempts", 0, "service-level attempts per job",
               &job_attempts)
       .AddInt("backoff", 0, "retry backoff base cycles", &backoff)
-      .AddInt("launch-retry", 0, "within-launch retry waves", &launch_retry)
-      .AddInt("retry-shrink", 0, "team-cap divisor per retry wave",
-              &retry_shrink)
       .AddInt("quarantine-after", 0, "failures that open the breaker",
               &quarantine_after)
       .AddInt("quarantine-cooldown", 0, "breaker cooldown cycles",
@@ -232,10 +226,10 @@ int main(int argc, char** argv) {
   }
   if (devices <= 0 || jobs < 0 || thread_limit <= 0 || teams_per_block <= 0 ||
       queue_cap <= 0 || max_batch < 0 || mem_estimate <= 0 ||
-      job_attempts <= 0 || backoff < 0 || launch_retry <= 0 ||
-      retry_shrink < 0 || quarantine_after < 0 || quarantine_cooldown < 0 ||
-      watchdog < 0 || instance_watchdog < 0 || drain_at < 0 ||
-      memory_scale <= 0 || headroom <= 0.0 || headroom > 100.0) {
+      job_attempts <= 0 || backoff < 0 || quarantine_after < 0 ||
+      quarantine_cooldown < 0 || watchdog < 0 || instance_watchdog < 0 ||
+      drain_at < 0 || memory_scale <= 0 || headroom <= 0.0 ||
+      headroom > 100.0) {
     std::fprintf(stderr, "dgc-serve: flag out of range\n\n");
     return Usage(2);
   }
@@ -264,8 +258,6 @@ int main(int argc, char** argv) {
   config.retry.backoff_base = std::uint64_t(backoff);
   config.breaker.failure_threshold = std::uint32_t(quarantine_after);
   config.breaker.cooldown = std::uint64_t(quarantine_cooldown);
-  config.launch_attempts = std::uint32_t(launch_retry);
-  config.retry_shrink = std::uint32_t(retry_shrink);
   config.watchdog_cycles = std::uint64_t(watchdog);
   config.instance_watchdog_cycles = std::uint64_t(instance_watchdog);
   config.share_data = share_data == "on";

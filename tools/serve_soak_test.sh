@@ -2,7 +2,9 @@
 # serve-soak: a seeded chaos replay of faulty and well-behaved jobs through
 # dgc-serve, with the queue deliberately over capacity. The outcome log must
 # be byte-identical across --jobs values and must match the committed golden
-# transcript; the exit code must reflect the chaos-failed jobs.
+# transcript; the exit code must reflect the chaos-failed jobs. Retry flags
+# dgc-serve does not define (a service launch runs one wave; the only retry
+# is --job-attempts) must be usage errors that exit 2 before any job runs.
 set -u
 BIN=$1
 STREAM=$2
@@ -13,6 +15,19 @@ mkdir -p "$OUT"
 FLAGS=(--stream "$STREAM" --device test -t 32 --queue-cap 4
        --job-attempts 2 --backoff 4096 --quarantine-after 3
        --chaos 'seed@7;trap@2;malformed@5;slow@4.x4')
+
+for option in --launch-retry --retry-shrink; do
+  rm -f "$OUT/usage.log"
+  out=$("$BIN" "${FLAGS[@]}" --log "$OUT/usage.log" "$option" 2 2>&1)
+  rc=$?
+  if [ "$rc" != 2 ] || ! grep -q "unknown option: $option" <<<"$out" ||
+     [ -e "$OUT/usage.log" ]; then
+    echo "serve-soak: expected a usage error (exit 2, no log) for $option 2," \
+         "got exit $rc"
+    echo "$out"
+    exit 1
+  fi
+done
 
 "$BIN" "${FLAGS[@]}" --jobs 1 --log "$OUT/jobs1.log" >/dev/null
 rc1=$?
