@@ -31,9 +31,6 @@ CounterRun RunCounterEnsemble(ensemble::GlobalsMode mode) {
   ensemble::IsolatedGlobals globals;
   DGC_CHECK(globals.Declare("g_counter", sizeof(std::uint64_t)).ok());
   DGC_CHECK(globals.Materialize(device, kTeams, mode, &memcheck).ok());
-  for (std::uint32_t t = 0; t < kTeams; ++t) {
-    memcheck.SetTeamInstance(t, std::int32_t(t));
-  }
 
   CounterRun run;
   run.finals.assign(kTeams, 0);
@@ -41,6 +38,8 @@ CounterRun RunCounterEnsemble(ensemble::GlobalsMode mode) {
   cfg.launch.memcheck = &memcheck;
   auto result = ompx::LaunchTeams(
       device, cfg, [&](ompx::TeamCtx& team) -> DeviceTask<void> {
+        // Team t runs instance t.
+        team.hw->SetRowInstance(std::int32_t(team.team_id), 0);
         auto slot = *globals.Slot<std::uint64_t>(team.team_id, "g_counter");
         for (std::uint32_t i = 0; i < kIncrements; ++i) {
           co_await team.hw->AtomicAdd(slot, std::uint64_t{1});

@@ -7,37 +7,38 @@
 
 namespace dgc::ensemble {
 
+std::string_view StripComment(std::string_view line) {
+  char quote = 0;
+  for (std::size_t i = 0; i < line.size(); ++i) {
+    const char c = line[i];
+    if (quote != 0) {
+      // Inside double quotes \" and \\ are escapes (a mismatch here would
+      // truncate the line mid-token and fail tokenization with
+      // "unterminated quote").
+      if (c == '\\' && quote == '"' && i + 1 < line.size() &&
+          (line[i + 1] == '"' || line[i + 1] == '\\')) {
+        ++i;
+      } else if (c == quote) {
+        quote = 0;
+      }
+    } else if (c == '\'' || c == '"') {
+      quote = c;
+    } else if (c == '\\') {
+      ++i;
+    } else if (c == '#') {
+      return line.substr(0, i);
+    }
+  }
+  return line;
+}
+
 StatusOr<std::vector<std::vector<std::string>>> ParseArgumentLines(
     std::string_view content) {
   std::vector<std::vector<std::string>> instances;
   std::size_t line_no = 0;
   for (std::string_view raw : SplitChar(content, '\n')) {
     ++line_no;
-    // Strip comments (a # outside quotes begins one). Cheap scan that
-    // respects the same quoting rules as the tokenizer.
-    std::string_view line = raw;
-    char quote = 0;
-    for (std::size_t i = 0; i < line.size(); ++i) {
-      const char c = line[i];
-      if (quote != 0) {
-        // Mirror TokenizeCommandLine exactly: inside double quotes \" and
-        // \\ are escapes (a mismatch here would truncate the line mid-token
-        // and fail tokenization with "unterminated quote").
-        if (c == '\\' && quote == '"' && i + 1 < line.size() &&
-            (line[i + 1] == '"' || line[i + 1] == '\\')) {
-          ++i;
-        } else if (c == quote) {
-          quote = 0;
-        }
-      } else if (c == '\'' || c == '"') {
-        quote = c;
-      } else if (c == '\\') {
-        ++i;
-      } else if (c == '#') {
-        line = line.substr(0, i);
-        break;
-      }
-    }
+    const std::string_view line = StripComment(raw);
     if (TrimWhitespace(line).empty()) continue;
 
     auto tokens = TokenizeCommandLine(line);

@@ -18,6 +18,12 @@
 
 namespace dgc::ensemble {
 
+/// `line` up to the `#` that starts its comment, or all of it when it has
+/// none. A `#` inside quotes or after a backslash is part of a token; the
+/// scan follows TokenizeCommandLine's quoting rules exactly. Argument files
+/// and argument scripts share this rule.
+std::string_view StripComment(std::string_view line);
+
 /// Parses argument-file content; result[i] is instance i's argv[1..] (the
 /// loader prepends argv[0], as Fig. 4 does with `argv[0]`).
 StatusOr<std::vector<std::vector<std::string>>> ParseArgumentLines(

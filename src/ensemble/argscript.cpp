@@ -221,11 +221,7 @@ StatusOr<std::string> ExpandScript(std::string_view script,
                                         s.message().c_str()));
     };
 
-    std::string_view line = TrimWhitespace(raw);
-    const std::size_t hash = line.find('#');
-    if (hash != std::string_view::npos) {
-      line = TrimWhitespace(line.substr(0, hash));
-    }
+    std::string_view line = TrimWhitespace(StripComment(raw));
     if (line.empty()) continue;
 
     std::uint64_t repeat = 0;  // 0: derive from seq generators

@@ -10,7 +10,6 @@
 #include "ensemble/argfile.h"
 #include "ensemble/argscript.h"
 #include "gpusim/device.h"
-#include "gpusim/lane.h"
 #include "gpusim/profiler.h"
 #include "gpusim/trace.h"
 #include "ompx/league.h"
@@ -152,9 +151,6 @@ StatusOr<dgcf::RunResult> RunEnsemble(dgcf::AppEnv& env,
     const std::uint32_t wave_teams =
         std::min<std::uint32_t>(team_cap, std::uint32_t(pending.size()));
 
-    // Which instance each wave-local team is currently executing; feeds the
-    // instance_of hook so lane failures are attributed `instance=I`.
-    std::vector<std::int32_t> current(wave_teams, -1);
     std::vector<char> started(ni, 0);
 
     ompx::TeamsConfig cfg;
@@ -167,26 +163,6 @@ StatusOr<dgcf::RunResult> RunEnsemble(dgcf::AppEnv& env,
     cfg.launch.faults = plan;
     cfg.launch.profiler = options.profiler;
     cfg.launch.watchdog_cycles = launch_watchdog;
-    const std::uint32_t m = options.teams_per_block;
-    const std::uint32_t team_size = options.thread_limit;
-    cfg.launch.instance_of = [&current, wave_teams, m, team_size](
-                                 std::uint32_t block_id,
-                                 std::uint32_t thread_id) -> std::int32_t {
-      const std::uint32_t team = block_id * m + thread_id / team_size;
-      return team < wave_teams ? current[team] : -1;
-    };
-    // Per-owner device-memory accounting: attribute each allocation to the
-    // instance the allocating lane's team is currently executing. `current`
-    // is wave-local, so the resolver is reinstalled per wave and detached
-    // before the vector dies.
-    env.device->memory().set_instance_resolver(
-        [&current, wave_teams, m, team_size]() -> std::int32_t {
-          const sim::Lane* lane = sim::CurrentLane();
-          if (lane == nullptr || lane->ctx == nullptr) return -1;
-          const std::uint32_t team =
-              lane->ctx->block_id * m + lane->thread_id / team_size;
-          return team < wave_teams ? current[team] : -1;
-        });
 
     // The Fig. 4 kernel:  #pragma omp target teams distribute
     //                     for (I = 0; I < NI; ++I)
@@ -194,20 +170,15 @@ StatusOr<dgcf::RunResult> RunEnsemble(dgcf::AppEnv& env,
     // distribute → team t executes iterations t, t+N, t+2N, ... of the
     // pending list. Each instance runs under try/catch: a trap is contained
     // to the instance, and the team moves on to its next instance as long
-    // as the trap left it intact.
+    // as the trap left it intact. While it runs, the team's row of lanes
+    // carries the instance id (Lane::instance), which attributes its
+    // counters, heap, failures and memcheck findings.
     auto result = ompx::LaunchTeams(
         *env.device, cfg, [&](ompx::TeamCtx& team) -> sim::DeviceTask<void> {
           for (std::uint32_t idx = team.team_id; idx < pending.size();
                idx += wave_teams) {
             const std::uint32_t i = pending[idx];
             dgcf::InstanceResult& inst = run.instances[i];
-            current[team.team_id] = std::int32_t(i);
-            if (options.memcheck != nullptr) {
-              // Feed the §3.3 cross-instance checker: from here until the
-              // next update, accesses by this team belong to instance i.
-              options.memcheck->SetTeamInstance(team.team_id,
-                                                std::int32_t(i));
-            }
             started[i] = 1;
             ++inst.attempts;
             inst.reason = dgcf::TerminationReason::kNotStarted;
@@ -218,9 +189,7 @@ StatusOr<dgcf::RunResult> RunEnsemble(dgcf::AppEnv& env,
                         options.instance_watchdogs[i] != 0
                     ? options.instance_watchdogs[i]
                     : options.instance_watchdog_cycles;
-            if (inst_budget != 0) {
-              team.hw->ArmRowWatchdog(inst_budget);
-            }
+            team.hw->SetRowInstance(std::int32_t(i), inst_budget);
             bool contained = false;
             try {
               inst.exit_code = co_await app->user_main(
@@ -236,11 +205,8 @@ StatusOr<dgcf::RunResult> RunEnsemble(dgcf::AppEnv& env,
               inst.detail = e.what();
               contained = true;
             }
-            if (inst_budget != 0) {
-              team.hw->ArmRowWatchdog(0);  // disarm for the next instance
-            }
+            team.hw->SetRowInstance(-1, 0);  // unattributed and disarmed
             inst.cycles += team.hw->Now() - t0;
-            current[team.team_id] = -1;
             if (contained && !TeamIntact(team)) {
               // The trap degraded the team (dead workers or a parallel
               // region left in flight): running another instance on it
@@ -250,7 +216,6 @@ StatusOr<dgcf::RunResult> RunEnsemble(dgcf::AppEnv& env,
             }
           }
         });
-    env.device->memory().set_instance_resolver(nullptr);
     DGC_RETURN_IF_ERROR(result.status());
 
     run.waves = wave + 1;

@@ -36,9 +36,8 @@ void Barrier::MaybeRelease(Engine& engine) {
     Lane* lane = w.lane;
     // Each lane stalled from its own arrival to the (shared) release.
     if (lane->block != nullptr && t > w.arrived) {
-      lane->block->launch_context()
-          ->IssueStats(lane->block->id(), lane->thread_id)
-          .barrier_stall_cycles += t - w.arrived;
+      lane->block->launch_context()->IssueStats(*lane).barrier_stall_cycles +=
+          t - w.arrived;
     }
     lane->state = Lane::State::kReady;
     lane->ready_at = t;

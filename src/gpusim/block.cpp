@@ -64,13 +64,6 @@ void Block::Start(std::uint64_t now) {
   for (auto& warp : warps_) warp->WakeAt(now, lc_->engine);
 }
 
-void Block::SetRowWatchdog(std::uint32_t row, std::uint64_t deadline) {
-  for (std::uint32_t i = 0; i < lanes_.size(); ++i) {
-    if (ctxs_[i].tid3.y != row) continue;
-    lanes_[i].watchdog_deadline = deadline;
-  }
-}
-
 void Block::OnLaneDone(Lane* lane, std::uint64_t now) {
   for (Barrier* b : lane->memberships) b->ParticipantGone(now, lc_->engine);
   DGC_CHECK(live_ > 0);

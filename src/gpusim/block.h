@@ -4,6 +4,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "gpusim/barrier.h"
@@ -62,16 +63,11 @@ class Block {
                         reinterpret_cast<T*>(shared_.data() + byte_offset)};
   }
 
-  /// Arms (deadline > 0) or disarms (0) the per-lane watchdog of every lane
-  /// in block row `row` (tid3.y). Rows are the §3.1 sub-team unit, so this
-  /// is how a loader bounds one instance's cycles without touching its
-  /// block-mates.
-  void SetRowWatchdog(std::uint32_t row, std::uint64_t deadline);
-
   Barrier* barrier() { return &barrier_; }
   SM* sm() const { return sm_; }
   std::uint32_t id() const { return id_; }
   std::uint32_t threads() const { return std::uint32_t(lanes_.size()); }
+  std::span<Lane> lanes() { return lanes_; }
   std::uint32_t warp_count() const { return std::uint32_t(warps_.size()); }
   std::uint32_t live_lanes() const { return live_; }
   LaunchContext* launch_context() const { return lc_; }

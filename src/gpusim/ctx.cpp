@@ -37,8 +37,15 @@ std::uint64_t ThreadCtx::Now() const {
   return block->launch_context()->engine.now();
 }
 
-void ThreadCtx::ArmRowWatchdog(std::uint64_t cycles) const {
-  block->SetRowWatchdog(tid3.y, cycles == 0 ? 0 : Now() + cycles);
+void ThreadCtx::SetRowInstance(std::int32_t instance,
+                               std::uint64_t watchdog_cycles) const {
+  const std::uint64_t deadline =
+      watchdog_cycles == 0 ? 0 : Now() + watchdog_cycles;
+  for (Lane& row_lane : block->lanes()) {
+    if (row_lane.ctx->tid3.y != tid3.y) continue;
+    row_lane.instance = instance;
+    row_lane.watchdog_deadline = deadline;
+  }
 }
 
 }  // namespace dgc::sim

@@ -328,12 +328,15 @@ struct ThreadCtx {
   /// Untimed — a convenience for runtimes that account per-instance cycles.
   std::uint64_t Now() const;
 
-  /// Arms (cycles > 0) or disarms (cycles == 0) a watchdog over every lane
-  /// of this lane's team row (tid3.y): each lane traps with kWatchdog at
-  /// its first resume at or after now + cycles. The ensemble loader re-arms
-  /// this per instance so a hung instance is killed without bounding its
-  /// well-behaved siblings.
-  void ArmRowWatchdog(std::uint64_t cycles) const;
+  /// Marks every lane of this lane's team row (tid3.y) as running
+  /// `instance` (-1: none) and arms its watchdog: each lane traps with
+  /// kWatchdog at its first resume at or after now + watchdog_cycles
+  /// (0 disarms). The ensemble loader calls this as a team enters and
+  /// leaves each instance, so the instance's accesses, counters and
+  /// failures are attributed to it and a hung instance is killed without
+  /// bounding its well-behaved siblings.
+  void SetRowInstance(std::int32_t instance,
+                      std::uint64_t watchdog_cycles) const;
 
   /// Barrier over an explicit lane set (sub-team synchronization).
   detail::SyncAwaiter SyncOn(Barrier* barrier) const {

@@ -62,7 +62,7 @@ StatusOr<LaunchResult> Device::Launch(const LaunchConfig& config,
   }
 
   memsys_.Reset();  // cold caches per launch; deterministic across launches
-  if (config.memcheck != nullptr) config.memcheck->OnLaunchBegin(config);
+  if (config.memcheck != nullptr) config.memcheck->OnLaunchBegin();
   LaunchContext lc(spec_, memsys_, config, kernel);
   DGC_RETURN_IF_ERROR(lc.Run());
   if (config.memcheck != nullptr) config.memcheck->OnLaunchEnd(lc.stats);

@@ -30,7 +30,8 @@ struct LaunchResult {
   /// TerminationReason::kDeadlock.
   LaunchOutcome outcome = LaunchOutcome::kCompleted;
   /// Messages from lanes that terminated with an exception (up to 16),
-  /// `instance=I`-prefixed when the config provides instance attribution.
+  /// `instance=I`-prefixed when the lane was running an instance
+  /// (Lane::instance).
   std::vector<std::string> failures;
   std::uint64_t failure_count = 0;
   /// Snapshot of the sanitizer report after the launch's leak check;

@@ -15,12 +15,6 @@ class Profiler;
 class Trace;
 struct ThreadCtx;
 
-/// Maps a failing lane to the application instance currently running on it
-/// (>= 0), or -1 when unattributable. Installed by the ensemble loader so
-/// failure messages carry an `instance=I` prefix.
-using InstanceOfFn =
-    std::function<std::int32_t(std::uint32_t block_id, std::uint32_t thread_id)>;
-
 /// A kernel is a coroutine entry point invoked once per lane. The same
 /// callable serves every lane; identity comes from the ThreadCtx.
 using KernelFn = std::function<DeviceTask<void>(ThreadCtx&)>;
@@ -44,12 +38,10 @@ struct LaunchConfig {
   /// 0 = disabled (the raw simulator default; loaders derive a budget from
   /// the device spec).
   std::uint64_t watchdog_cycles = 0;
-  /// Optional instance attribution for failure messages (see InstanceOfFn).
-  InstanceOfFn instance_of = nullptr;
   /// Optional launch profiler (see gpusim/profiler.h); null = off. When
-  /// set, counters are attributed per instance through `instance_of` and a
-  /// utilization timeline is sampled. Non-owning; one profiler may observe
-  /// several sequential launches (retry waves).
+  /// set, counters are attributed to each lane's instance (Lane::instance)
+  /// and a utilization timeline is sampled. Non-owning; one profiler may
+  /// observe several sequential launches (retry waves).
   Profiler* profiler = nullptr;
 };
 

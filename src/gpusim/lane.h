@@ -41,7 +41,9 @@ T FromBits(std::uint64_t b) {
   return v;
 }
 
-/// One element of a batched (pipelined) load — see ThreadCtx::Gather.
+/// One element of a batched (pipelined) access — see ThreadCtx::Gather and
+/// ThreadCtx::Scatter. `result` receives a load's value (kLoadBatch) or
+/// holds the value to store (kStoreBatch).
 struct BatchSlot {
   DeviceAddr addr = 0;
   void* host = nullptr;
@@ -74,7 +76,8 @@ struct DeviceOp {
   std::uint64_t (*apply)(void* host, std::uint64_t operand) = nullptr;
   Barrier* barrier = nullptr;
   std::function<std::uint64_t()>* external = nullptr;
-  /// kLoadBatch: the awaiter-owned slots (stable across the suspension).
+  /// kLoadBatch / kStoreBatch: the awaiter-owned slots (stable across the
+  /// suspension).
   BatchSlot* batch = nullptr;
   std::uint32_t batch_count = 0;
 };
@@ -119,6 +122,11 @@ class Lane {
   /// next resume point (see detail::RaisePendingTrap in ctx.h). Set by the
   /// warp scheduler for watchdog expiry and injected trap sites.
   TrapKind pending_trap = TrapKind::kNone;
+  /// The application instance this lane's team row is running (>= 0), or -1
+  /// outside any instance. Set per row, with watchdog_deadline, by
+  /// ThreadCtx::SetRowInstance; the profiler buckets, failure prefixes, heap
+  /// owners and memcheck all read it. (Placed here, it fills padding.)
+  std::int32_t instance = -1;
   /// Cycle at which pending_trap was armed (for the trap message).
   std::uint64_t trap_cycle = 0;
   /// Per-lane watchdog: trap the lane at its first resume at or after this

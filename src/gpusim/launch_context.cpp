@@ -69,12 +69,9 @@ void LaunchContext::DrainEvents() {
   }
 }
 
-LaunchStats& LaunchContext::IssueStats(std::uint32_t block,
-                                       std::uint32_t thread) {
+LaunchStats& LaunchContext::IssueStats(const Lane& lane) {
   if (config.profiler == nullptr) return stats;
-  std::int32_t instance = -1;
-  if (config.instance_of) instance = config.instance_of(block, thread);
-  const std::size_t index = std::size_t(instance + 1);
+  const std::size_t index = std::size_t(lane.instance + 1);
   if (instance_buckets_.size() <= index) instance_buckets_.resize(index + 1);
   return instance_buckets_[index];
 }
@@ -97,22 +94,20 @@ void LaunchContext::OnBlockFinished(Block* block, std::uint64_t now) {
   TrySchedule(now);
 }
 
-void LaunchContext::RecordFailure(std::uint32_t block, std::uint32_t thread,
-                                  TrapKind kind, const std::string& what) {
+void LaunchContext::RecordFailure(const Lane& lane, TrapKind kind,
+                                  const std::string& what) {
   ++failure_count;
   if (kind == TrapKind::kWatchdog) {
-    ++IssueStats(block, thread).watchdog_traps;
+    ++IssueStats(lane).watchdog_traps;
   } else if (kind != TrapKind::kNone) {
-    ++IssueStats(block, thread).lane_traps;
+    ++IssueStats(lane).lane_traps;
   }
   if (failures.size() >= kMaxRecordedFailures) return;
-  std::string prefix;
-  if (config.instance_of) {
-    const std::int32_t instance = config.instance_of(block, thread);
-    if (instance >= 0) prefix = StrFormat("instance=%d ", instance);
-  }
+  const std::string prefix =
+      lane.instance >= 0 ? StrFormat("instance=%d ", lane.instance) : "";
   failures.push_back(StrFormat("%sblock %u thread %u: %s", prefix.c_str(),
-                               block, thread, what.c_str()));
+                               lane.block->id(), lane.thread_id,
+                               what.c_str()));
 }
 
 void LaunchContext::TrySchedule(std::uint64_t now) {

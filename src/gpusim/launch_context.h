@@ -20,6 +20,7 @@
 namespace dgc::sim {
 
 class Block;
+class Lane;
 
 struct LaunchContext {
   LaunchContext(const DeviceSpec& spec, MemorySystem& memsys,
@@ -37,18 +38,16 @@ struct LaunchContext {
   Status Run();
 
   void OnBlockFinished(Block* block, std::uint64_t now);
-  /// Records one lane failure, prefixed with the owning instance when the
-  /// launch configured an instance_of hook. `kind` classifies traps for the
+  /// Records one failure of `lane`, prefixed `instance=I` when the lane is
+  /// running an instance (Lane::instance). `kind` classifies traps for the
   /// stats counters (kNone for ordinary exceptions).
-  void RecordFailure(std::uint32_t block, std::uint32_t thread, TrapKind kind,
-                     const std::string& what);
+  void RecordFailure(const Lane& lane, TrapKind kind, const std::string& what);
 
-  /// Stats sink for counter bumps issued on behalf of lane
-  /// (`block`, `thread`). Without a profiler this is the launch-global
-  /// `stats` (zero overhead over the old direct bumps); with one it is the
-  /// per-instance bucket selected by config.instance_of, folded back into
-  /// `stats` when the run ends — totals are identical either way.
-  LaunchStats& IssueStats(std::uint32_t block, std::uint32_t thread);
+  /// Stats sink for counter bumps issued on behalf of `lane`. Without a
+  /// profiler this is the launch-global `stats`; with one it is the bucket
+  /// of the lane's instance (Lane::instance), folded back into `stats` when
+  /// the run ends — totals are identical either way.
+  LaunchStats& IssueStats(const Lane& lane);
 
   /// Resident warps summed over all SMs (timeline sampling).
   std::uint32_t ActiveWarps() const;

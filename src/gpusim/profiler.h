@@ -4,7 +4,7 @@
 // The profiler is passive storage plus sampling policy; the hot-path hooks
 // live in LaunchContext. When a LaunchConfig carries a Profiler, the
 // context routes every counter bump into per-instance buckets (keyed by
-// LaunchConfig::instance_of) instead of bumping the launch-global
+// the issuing lane's Lane::instance) instead of bumping the launch-global
 // LaunchStats directly, and the run loop asks the profiler — between
 // events, never inside one — whether the next event crosses a sample
 // boundary. Each sample records window *deltas* (work issued since the

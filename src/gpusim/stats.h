@@ -79,8 +79,8 @@ struct LaunchStats {
   std::string ToString() const;
 };
 
-/// Per-instance slice of a launch's counters, attributed through
-/// LaunchConfig::instance_of by the profiler (gpusim/profiler.h).
+/// Per-instance slice of a launch's counters, attributed by the issuing
+/// lane's Lane::instance through the profiler (gpusim/profiler.h).
 /// instance == -1 collects work no instance owns (runtime bookkeeping,
 /// padding lanes, teams between instances).
 struct InstanceStats {

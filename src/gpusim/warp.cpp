@@ -126,7 +126,7 @@ void Warp::FinishLane(Lane& lane, std::uint64_t now) {
       what = e.what();
     } catch (...) {
     }
-    lc_->RecordFailure(block_->id(), lane.thread_id, kind, what);
+    lc_->RecordFailure(lane, kind, what);
   } else {
     lane.state = Lane::State::kDone;
   }
@@ -190,10 +190,9 @@ std::uint64_t Warp::ProcessPhase(std::uint64_t now) {
     const DeviceOp::Kind kind = SelectIssueGroup(remaining);
     ++groups;
     // One stats sink per issue group: lanes of a group share an op and —
-    // with the block/team-granular instance_of maps the loaders install —
-    // an owning instance, so the leading lane speaks for the group.
-    LaunchStats& gstats =
-        lc_->IssueStats(block_->id(), group_.front()->thread_id);
+    // since the instance is set per team row — an owning instance, so the
+    // leading lane speaks for the group.
+    LaunchStats& gstats = lc_->IssueStats(*group_.front());
     ++gstats.warp_instructions;
 
     std::uint64_t t_end = issue;
@@ -253,7 +252,7 @@ std::uint64_t Warp::ProcessPhase(std::uint64_t now) {
     issue += kIssueCycles;
   }
   if (groups > 1) {
-    lc_->IssueStats(block_->id(), lanes_.front().thread_id).divergent_replays +=
+    lc_->IssueStats(lanes_.front()).divergent_replays +=
         std::uint64_t(groups - 1);
   }
 
@@ -405,7 +404,7 @@ void Warp::IssueSyncGroup(std::span<Lane*> group, std::uint64_t t) {
     lane->pending = DeviceOp{};
     // Arrivals attribute per lane: with teams packed into one block, lanes
     // of a sync group can belong to different instances.
-    ++lc_->IssueStats(block_->id(), lane->thread_id).barrier_arrivals;
+    ++lc_->IssueStats(*lane).barrier_arrivals;
     barrier->Arrive(lane, t, lc_->engine);
   }
 }

@@ -21,7 +21,7 @@ struct TeamsConfig {
   /// implemented mapping).
   std::uint32_t teams_per_block = 1;
   /// The kernel launch: name, observers (trace, memcheck, faults,
-  /// profiler, instance_of) and watchdog budget. LaunchTeams launches a
+  /// profiler) and watchdog budget. LaunchTeams launches a
   /// copy whose grid, block and shared_bytes it derives from the fields
   /// above, so values set for those three here are ignored.
   sim::LaunchConfig launch{.name = "target-teams"};

@@ -6,10 +6,14 @@ namespace dgc::ensemble {
 namespace {
 
 TEST(ArgScript, PlainLinesPassThrough) {
-  auto args = ExpandScriptToArgs("-a 1 -b\n-a 2\n");
-  ASSERT_TRUE(args.ok());
-  ASSERT_EQ(args->size(), 2u);
+  auto args = ExpandScriptToArgs(
+      "-a 1 -b\n-a 2\n-G \"union#ized\" -m '#5'  # trailing comment\n");
+  ASSERT_TRUE(args.ok()) << args.status().ToString();
+  ASSERT_EQ(args->size(), 3u);
   EXPECT_EQ((*args)[0], (std::vector<std::string>{"-a", "1", "-b"}));
+  // A quoted # belongs to its token, exactly as in a plain argument file.
+  EXPECT_EQ((*args)[2],
+            (std::vector<std::string>{"-G", "union#ized", "-m", "#5"}));
 }
 
 TEST(ArgScript, RepeatWithIndexExpression) {

@@ -199,12 +199,12 @@ TEST(Memcheck, CrossInstanceWriteToOwnedRegionIsFlagged) {
   Rig rig;
   auto owned = *rig.device.Malloc(64);
   rig.memcheck.TagRegion(owned.addr, /*owner=*/0, "instance 0 heap");
-  rig.memcheck.SetTeamInstance(/*team=*/0, /*instance=*/1);
 
   auto p = owned.Typed<std::uint64_t>();
   auto result = rig.device.Launch(
       OneWarp(rig.memcheck), [&](ThreadCtx& ctx) -> DeviceTask<void> {
         if (ctx.thread_id != 0) co_return;
+        ctx.SetRowInstance(/*instance=*/1, /*watchdog_cycles=*/0);
         (void)co_await ctx.Load(p);             // reads never race
         co_await ctx.Store(p, std::uint64_t{1});  // write crosses instances
       });
@@ -224,11 +224,11 @@ TEST(Memcheck, SameInstanceWriteIsClean) {
   Rig rig;
   auto owned = *rig.device.Malloc(64);
   rig.memcheck.TagRegion(owned.addr, /*owner=*/2, "instance 2 heap");
-  rig.memcheck.SetTeamInstance(/*team=*/0, /*instance=*/2);
   auto p = owned.Typed<std::uint64_t>();
   auto result = rig.device.Launch(
       OneWarp(rig.memcheck), [&](ThreadCtx& ctx) -> DeviceTask<void> {
         if (ctx.thread_id != 0) co_return;
+        ctx.SetRowInstance(/*instance=*/2, /*watchdog_cycles=*/0);
         co_await ctx.Store(p, std::uint64_t{1});
       });
   ASSERT_TRUE(result.ok());
@@ -243,10 +243,10 @@ TEST(Memcheck, SharedRegionRacesOnSecondWriter) {
   auto p = shared.Typed<std::uint64_t>();
 
   auto write_once = [&](std::int32_t instance) {
-    rig.memcheck.SetTeamInstance(0, instance);
     auto result = rig.device.Launch(
         OneWarp(rig.memcheck), [&](ThreadCtx& ctx) -> DeviceTask<void> {
           if (ctx.thread_id != 0) co_return;
+          ctx.SetRowInstance(instance, /*watchdog_cycles=*/0);
           co_await ctx.Store(p, std::uint64_t(instance));
         });
     ASSERT_TRUE(result.ok()) << result.status().ToString();

@@ -22,11 +22,10 @@ LaunchResult RunInstanced(Device& dev, Profiler* profiler,
   auto buf = *dev.Malloc(1024 * sizeof(double));
   auto p = buf.Typed<double>();
   LaunchConfig cfg{.grid = {blocks, 1, 1}, .block = {32, 1, 1}};
-  cfg.instance_of = [](std::uint32_t block_id, std::uint32_t) {
-    return std::int32_t(block_id);
-  };
   cfg.profiler = profiler;
   auto r = dev.Launch(cfg, [&](ThreadCtx& ctx) -> DeviceTask<void> {
+    // Thread 0 runs first and marks its block's only row as instance b.
+    if (ctx.thread_id == 0) ctx.SetRowInstance(std::int32_t(ctx.block_id), 0);
     for (std::uint32_t i = ctx.block_id * ctx.block_threads + ctx.thread_id;
          i < 1024; i += ctx.block_threads * ctx.grid_blocks) {
       const double v = co_await ctx.Load(p + i);

@@ -3,6 +3,7 @@
 // Free path, snapshot counters, and per-owner accounting.
 #include <gtest/gtest.h>
 
+#include "gpusim/lane.h"
 #include "gpusim/memory.h"
 
 namespace dgc::sim {
@@ -145,17 +146,22 @@ TEST(SharedSegment, ListenerSeesOneSharedRegionPerCopy) {
   EXPECT_EQ(probe.frees[0], a.buffer.addr);
 }
 
-// Per-owner accounting via the instance resolver; shared physical bytes are
-// attributed to the materializing owner only.
+// Per-owner accounting by the allocating lane's instance; shared physical
+// bytes are attributed to the materializing owner only.
 TEST(SharedSegment, OwnerAccountingAttributesMaterializerOnly) {
   DeviceMemory mem(1 << 20);
-  std::int32_t current = -1;
-  mem.set_instance_resolver([&current] { return current; });
+  // A stand-in for a device lane: while it is current, allocations belong
+  // to its instance, as they do inside a launch.
+  Lane lane;
+  struct CurrentGuard {
+    explicit CurrentGuard(Lane* l) { CurrentLane() = l; }
+    ~CurrentGuard() { CurrentLane() = nullptr; }
+  } guard(&lane);
 
-  current = 0;
+  lane.instance = 0;
   auto a = *mem.AcquireShared(11, 1024);
   auto p0 = *mem.Allocate(512);
-  current = 1;
+  lane.instance = 1;
   auto b = *mem.AcquireShared(11, 1024);  // attach: costs owner 1 nothing
   auto p1 = *mem.Allocate(256);
   (void)b;
@@ -170,7 +176,7 @@ TEST(SharedSegment, OwnerAccountingAttributesMaterializerOnly) {
   EXPECT_EQ(stats.at(1).peak_bytes, 256u);
 
   // Frees rebalance the same books.
-  current = -1;
+  lane.instance = -1;
   ASSERT_TRUE(mem.Free(p0.addr).ok());
   ASSERT_TRUE(mem.Free(p1.addr).ok());
   ASSERT_TRUE(mem.Free(a.buffer.addr).ok());
@@ -183,7 +189,7 @@ TEST(SharedSegment, OwnerAccountingAttributesMaterializerOnly) {
 
 TEST(SharedSegment, UnresolvedAllocationsLandInOwnerMinusOne) {
   DeviceMemory mem(1 << 20);
-  (void)*mem.Allocate(128);  // no resolver installed
+  (void)*mem.Allocate(128);  // host code: no current lane
   const auto& stats = mem.owner_stats();
   ASSERT_TRUE(stats.count(-1));
   EXPECT_EQ(stats.at(-1).bytes_in_use, 256u);  // rounded to alignment

@@ -40,22 +40,44 @@ CASES=(
   "pagerank 1 4 10 13"
 )
 
+# <argfile> <malloc-fail ordinal>, run with --teams 2 --memcheck: three
+# instances on two teams, so team 0 runs instance 0 and then instance 2 in
+# turn; the ordinal fails one of instance 2's allocations. The profiler,
+# the heap owners, failure prefixes and memcheck must all follow the team
+# to its second instance.
+TEAM_CASES=(
+  "xsbench 22"
+  "rsbench 16"
+  "amgmk 16"
+  "pagerank 13"
+)
+
 LOG="$OUT/apps_golden.log"
 : > "$LOG"
-run() {  # <app> <argfile> <share> [inject]
-  local extra=()
-  [ -n "${4:-}" ] && extra=(--inject "malloc-fail@$4")
-  echo "== $2 share=$3 inject=${4:-none}" >> "$LOG"
-  "$BIN" "$1" --device test -t 32 --stats --profile --share-data "$3" \
-    -f "$OUT/$2.args" "${extra[@]}" >> "$LOG" 2>&1
+run() {  # <app> <argfile> <share> <inject or ""> [dgc-run flags...]
+  local app=$1 file=$2 share=$3 inject=$4
+  shift 4
+  local extra=("$@")
+  [ -n "$inject" ] && extra+=(--inject "malloc-fail@$inject")
+  echo "== $file share=$share inject=${inject:-none}${*:+ $*}" >> "$LOG"
+  "$BIN" "$app" --device test -t 32 --stats --profile --share-data "$share" \
+    -f "$OUT/$file.args" "${extra[@]}" >> "$LOG" 2>&1
   echo "exit $?" >> "$LOG"
 }
 for c in "${CASES[@]}"; do
   read -r file ordinals <<< "$c"
   app=${file%%_*}
   for share in on off; do
-    run "$app" "$file" "$share"
+    run "$app" "$file" "$share" ""
     for k in $ordinals; do run "$app" "$file" "$share" "$k"; done
+  done
+done
+for c in "${TEAM_CASES[@]}"; do
+  read -r file k <<< "$c"
+  for share in on off; do
+    for inject in "" "$k"; do
+      run "$file" "$file" "$share" "$inject" --teams 2 --memcheck
+    done
   done
 done
 
