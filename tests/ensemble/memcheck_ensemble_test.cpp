@@ -125,11 +125,13 @@ TEST(EnsembleMemcheck, RealAppEnsembleRunsClean) {
 
 // One record names the instance a team is running: four instances on two
 // teams, so each team runs two in turn, and the profiler bucket, the heap
-// owner (mem_peak_bytes), the contained failure and the memcheck findings
-// must all name the same instance. Instance I is told apart by its argc
-// (I + 2): it allocates (I + 1) * 256 - 8 bytes, issues I + 1 loads, stores
-// into the allocator's rounding padding (an out-of-bounds finding), and
-// aborts with the buffer still live (a leak finding).
+// owner (mem_peak_bytes), the loader's "instance=I contained:" line and the
+// memcheck findings must all name the same instance (the lane-failure prefix
+// is checked by Launch.KernelExceptionReportedAsLaneFailure). Instance I is
+// told apart by its argc (I + 2): it allocates (I + 1) * 256 - 8 bytes,
+// issues I + 1 loads, stores into the allocator's rounding padding (an
+// out-of-bounds finding), and aborts with the buffer still live (a leak
+// finding).
 TEST(EnsembleMemcheck, AllAttributionsNameTheSameInstance) {
   dgcf::AppRegistry::Instance().Register(
       {"attribution_probe", "test app: instance-distinct work, heap, finding",

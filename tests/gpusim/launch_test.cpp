@@ -268,7 +268,20 @@ TEST(Launch, KernelExceptionReportedAsLaneFailure) {
   EXPECT_FALSE(result->ok());
   EXPECT_EQ(result->failure_count, 1u);
   ASSERT_EQ(result->failures.size(), 1u);
-  EXPECT_NE(result->failures[0].find("lane 7 exploded"), std::string::npos);
+  // A lane outside any instance gets no instance= prefix.
+  EXPECT_EQ(result->failures[0], "block 0 thread 7: lane 7 exploded");
+
+  // The prefix names the instance the lane's row runs.
+  result = dev->Launch(cfg, [&](ThreadCtx& ctx) -> DeviceTask<void> {
+    if (ctx.thread_id == 7) {
+      ctx.SetRowInstance(3, 0);
+      throw std::runtime_error("lane 7 exploded");
+    }
+    co_return;
+  });
+  ASSERT_TRUE(result.ok());
+  ASSERT_EQ(result->failures.size(), 1u);
+  EXPECT_EQ(result->failures[0], "instance=3 block 0 thread 7: lane 7 exploded");
 }
 
 TEST(Launch, ExceptionPropagatesThroughNestedTasks) {

@@ -2,20 +2,16 @@
 """Interleaved A/B of perfbench: a base revision against the working tree.
 
     python3 tools/ab_perfbench.py --base HEAD~1 --pairs 10 --seconds 8 \\
-        [--workload xs-fig6a ...] [--scratch DIR]
-    python3 tools/ab_perfbench.py --summarize DIR/results.jsonl
+        [--scratch DIR]
 
 --base is extracted with `git archive` into DIR/base (no worktree); the
-change is this working tree. Each tree builds and runs its own perfbench
-(`perfbench/run.py --workload W --seed 1 --seconds S`) into its own build
-directory under DIR, as fresh processes. In each pair the two trees run
-back to back, and the order alternates from pair to pair, so a drift in
-host load falls on both sides alike. Every run's final JSON line is
-appended to DIR/results.jsonl as
-
-    {"workload": W, "pair": k, "side": "base" | "change", "result": {...}}
-
-and --summarize re-reads such a file without building or running anything.
+change is this working tree. For every workload of BENCHMARK.json, each
+tree builds and runs its own perfbench (`perfbench/run.py --workload W
+--seed 1 --seconds S`) into its own build directory under DIR, as fresh
+processes. In each pair the two trees run back to back, and the order
+alternates from pair to pair, so a drift in host load falls on both sides
+alike. Every run's final JSON line is written to DIR/results.jsonl. DIR
+must not hold an earlier run's base tree or results.
 
 For each end-to-end metric of BENCHMARK.json the summary prints the two
 medians, their ratio (change / base), the base's interquartile range
@@ -24,11 +20,10 @@ Bounds are relative to the base median. The verdict is "unresolved" when
 the base's relative IQR exceeds the metric's bound (the base alone spreads
 wider than the bound, so no difference can be read) unless every change
 run beats every base run, "worse" when the change's median is worse than
-the base's by more than the bound, and "ok" otherwise. Exit status: 0 when no metric is worse, 1 when one is, 2 on a
-usage, build or run error.
+the base's by more than the bound, and "ok" otherwise. Exit status: 0 when
+no metric is worse, 1 when one is, 2 on a usage, build or run error.
 """
 import argparse
-import collections
 import json
 import os
 import statistics
@@ -49,7 +44,7 @@ def die(msg):
 
 def iqr(values):
     if len(values) < 2:
-        return 0.0
+        return float("inf")  # one run shows no spread, so none can be read
     q = statistics.quantiles(values, n=4)
     return q[2] - q[0]
 
@@ -62,7 +57,7 @@ def relative(delta, reference):
 
 def compare(spec, base, change):
     """One metric's row. `base` and `change` hold one value per pair, in
-    pair order (a pair missing either side is left out by the caller)."""
+    pair order."""
     lower = spec["better"] == "lower"
     base_med = statistics.median(base)
     change_med = statistics.median(change)
@@ -87,63 +82,38 @@ def compare(spec, base, change):
     }
 
 
-def summarize(records, end_to_end):
-    """Returns {workload: {"rows": [...], "ops": {side: (attempted, failed)}}}
-    from result records, workloads in first-seen order."""
-    by_workload = collections.OrderedDict()
-    for r in records:
-        w = by_workload.setdefault(r["workload"], {s: {} for s in SIDES})
-        w[r["side"]][r["pair"]] = r["result"]
-    out = collections.OrderedDict()
-    for workload, sides in by_workload.items():
-        pairs = sorted(set(sides["base"]) & set(sides["change"]))
-        rows = []
-        for spec in end_to_end:
-            both = [(sides["base"][k]["metrics"].get(spec["name"]),
-                     sides["change"][k]["metrics"].get(spec["name"]))
-                    for k in pairs]
-            both = [(b["value"], c["value"]) for b, c in both if b and c]
-            if both:
-                rows.append(compare(spec, [b for b, _ in both],
-                                    [c for _, c in both]))
-        ops = {s: (sum(sides[s][k]["attempted"] for k in pairs),
-                   sum(sides[s][k]["failed"] for k in pairs)) for s in SIDES}
-        out[workload] = {"rows": rows, "ops": ops}
-    return out
+def summarize(runs, end_to_end):
+    """One row per end-to-end metric; `runs[side]` holds that side's perfbench
+    results in pair order. A metric missing from any run (perfbench leaves
+    out the timings when every timed run failed; ok_frac shows that) is
+    left out."""
+    rows = []
+    for spec in end_to_end:
+        values = {s: [r["metrics"].get(spec["name"], {}).get("value")
+                      for r in runs[s]] for s in SIDES}
+        if None not in values["base"] + values["change"]:
+            rows.append(compare(spec, values["base"], values["change"]))
+    return rows
 
 
-def report(summary):
-    lines = []
-    for workload, w in summary.items():
-        lines.append("workload %s" % workload)
-        for s in SIDES:
-            lines.append("  %-6s %d operations, %d failed" % ((s,) + w["ops"][s]))
-        lines.append("  %-20s %12s %12s %7s %9s %6s %6s  %s" % (
-            "metric", "base", "change", "ratio", "base IQR", "wins", "bound",
-            "verdict"))
-        for r in w["rows"]:
-            lines.append("  %-20s %12.6g %12.6g %7.3f %8.1f%% %6s %6g  %s" % (
-                "%s [%s]" % (r["metric"], r["unit"]), r["base"], r["change"],
-                r["ratio"], 100 * r["base_iqr"],
-                "%d/%d" % (r["wins"], r["pairs"]), r["bound"], r["verdict"]))
+def report(workload, rows):
+    lines = ["workload %s" % workload,
+             "  %-20s %12s %12s %7s %9s %6s %6s  %s" % (
+                 "metric", "base", "change", "ratio", "base IQR", "wins",
+                 "bound", "verdict")]
+    for r in rows:
+        lines.append("  %-20s %12.6g %12.6g %7.3f %8.1f%% %6s %6g  %s" % (
+            "%s [%s]" % (r["metric"], r["unit"]), r["base"], r["change"],
+            r["ratio"], 100 * r["base_iqr"],
+            "%d/%d" % (r["wins"], r["pairs"]), r["bound"], r["verdict"]))
     return "\n".join(lines)
-
-
-def read_records(path):
-    with open(path) as f:
-        return [json.loads(line) for line in f if line.strip()]
-
-
-def read_benchmark():
-    with open(os.path.join(ROOT, "BENCHMARK.json")) as f:
-        return json.load(f)
 
 
 # --- runs --------------------------------------------------------------------
 
 def extract(rev, dest):
     """Writes the committed tree of `rev` to `dest` with git archive."""
-    os.makedirs(dest, exist_ok=True)
+    os.makedirs(dest)
     archive = subprocess.run(["git", "-C", ROOT, "archive", "--format=tar", rev],
                              stdout=subprocess.PIPE, stderr=subprocess.PIPE)
     if archive.returncode != 0:
@@ -168,54 +138,42 @@ def run_perfbench(tree, build, workload, seconds):
 
 def main():
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    ap.add_argument("--base", help="revision to compare against")
-    ap.add_argument("--workload", action="append",
-                    help="workload to run (repeatable; default: "
-                         "BENCHMARK.json's)")
+    ap.add_argument("--base", required=True, help="revision to compare against")
     ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--seconds", type=float, default=8)
     ap.add_argument("--scratch", help="work directory (default: a new one "
                                       "under the system temp directory)")
-    ap.add_argument("--summarize", metavar="RESULTS",
-                    help="summarize a results.jsonl and exit")
     args = ap.parse_args()
-    benchmark = read_benchmark()
-
-    if args.summarize:
-        summary = summarize(read_records(args.summarize),
-                            benchmark["end_to_end"])
-    else:
-        if not args.base:
-            die("--base is required unless --summarize is given")
-        if args.pairs < 1:
-            die("--pairs must be positive")
-        workloads = args.workload or [w["name"] for w in benchmark["workloads"]]
-        scratch = args.scratch or tempfile.mkdtemp(prefix="ab_perfbench-")
-        trees = {"base": extract(args.base, os.path.join(scratch, "base")),
-                 "change": ROOT}
-        results_path = os.path.join(scratch, "results.jsonl")
-        print("base %s, change: working tree, results %s" % (
-            args.base, results_path), flush=True)
-        records = []
-        with open(results_path, "a") as out:
-            for workload in workloads:
-                for k in range(args.pairs):
-                    for side in (SIDES if k % 2 == 0 else SIDES[::-1]):
-                        result = run_perfbench(
-                            trees[side], os.path.join(scratch, side + "-build"),
-                            workload, args.seconds)
-                        record = {"workload": workload, "pair": k,
-                                  "side": side, "result": result}
-                        records.append(record)
-                        out.write(json.dumps(record) + "\n")
-                        out.flush()
-                    print("%s pair %d/%d done" % (workload, k + 1, args.pairs),
-                          flush=True)
-        summary = summarize(records, benchmark["end_to_end"])
-
-    print(report(summary))
-    worse = any(r["verdict"] == "worse"
-                for w in summary.values() for r in w["rows"])
+    if args.pairs < 1:
+        die("--pairs must be positive")
+    benchmark = json.load(open(os.path.join(ROOT, "BENCHMARK.json")))
+    scratch = args.scratch or tempfile.mkdtemp(prefix="ab_perfbench-")
+    base_dir = os.path.join(scratch, "base")
+    results_path = os.path.join(scratch, "results.jsonl")
+    if os.path.exists(base_dir) or os.path.exists(results_path):
+        die("%s holds an earlier run; pass a new --scratch" % scratch)
+    trees = {"base": extract(args.base, base_dir), "change": ROOT}
+    print("base %s, change: working tree, results %s" % (
+        args.base, results_path), flush=True)
+    worse = False
+    with open(results_path, "w") as out:
+        for workload in (w["name"] for w in benchmark["workloads"]):
+            runs = {s: [] for s in SIDES}
+            for k in range(args.pairs):
+                for side in (SIDES if k % 2 == 0 else SIDES[::-1]):
+                    result = run_perfbench(
+                        trees[side], os.path.join(scratch, side + "-build"),
+                        workload, args.seconds)
+                    runs[side].append(result)
+                    out.write(json.dumps({"workload": workload, "pair": k,
+                                          "side": side, "result": result}) +
+                              "\n")
+                    out.flush()
+                print("%s pair %d/%d done" % (workload, k + 1, args.pairs),
+                      flush=True)
+            rows = summarize(runs, benchmark["end_to_end"])
+            print(report(workload, rows), flush=True)
+            worse = worse or any(r["verdict"] == "worse" for r in rows)
     sys.exit(1 if worse else 0)
 
 

@@ -2,47 +2,34 @@
 
     python3 -m unittest discover -s tools -p 'ab_perfbench_test.py'
 """
-import json
-import os
-import subprocess
-import sys
-import tempfile
 import unittest
 
 import ab_perfbench
 
-HERE = os.path.dirname(os.path.abspath(__file__))
 SPECS = [
     {"name": "run_s", "unit": "s", "better": "lower", "bound": 0.25},
     {"name": "ok_frac", "unit": "ratio", "better": "higher", "bound": 0.01},
 ]
 
 
-def record(workload, pair, side, run_s, ok_frac=1.0, failed=0):
-    return {"workload": workload, "pair": pair, "side": side,
-            "result": {"correct": True, "attempted": 64, "failed": failed,
-                       "metrics": {
-                           "run_s": {"value": run_s, "unit": "s"},
-                           "ok_frac": {"value": ok_frac, "unit": "ratio"}}}}
+def result(run_s, ok_frac=1.0):
+    metrics = {"ok_frac": {"value": ok_frac, "unit": "ratio"}}
+    if run_s is not None:
+        metrics["run_s"] = {"value": run_s, "unit": "s"}
+    return {"correct": True, "attempted": 64, "failed": 0, "metrics": metrics}
 
 
-def records(workload, base, change):
-    out = []
-    for k, (b, c) in enumerate(zip(base, change)):
-        out += [record(workload, k, "base", b), record(workload, k, "change", c)]
-    return out
-
-
-def row(summary, workload, metric):
-    return next(r for r in summary[workload]["rows"] if r["metric"] == metric)
+def rows(base, change, ok_frac=(1.0, 1.0)):
+    """Summary rows by metric name for per-pair run_s values."""
+    runs = {"base": [result(v, ok_frac[0]) for v in base],
+            "change": [result(v, ok_frac[1]) for v in change]}
+    return {r["metric"]: r for r in ab_perfbench.summarize(runs, SPECS)}
 
 
 class SummaryTest(unittest.TestCase):
     def test_medians_ratio_spread_and_wins(self):
-        s = ab_perfbench.summarize(
-            records("w", [1.0, 1.2, 1.1, 1.0, 1.1], [1.1, 1.1, 1.0, 1.2, 1.0]),
-            SPECS)
-        r = row(s, "w", "run_s")
+        s = rows([1.0, 1.2, 1.1, 1.0, 1.1], [1.1, 1.1, 1.0, 1.2, 1.0])
+        r = s["run_s"]
         self.assertAlmostEqual(r["base"], 1.1)
         self.assertAlmostEqual(r["change"], 1.1)
         self.assertAlmostEqual(r["ratio"], 1.0)
@@ -50,59 +37,34 @@ class SummaryTest(unittest.TestCase):
         self.assertAlmostEqual(r["base_iqr"], 0.15 / 1.1)
         self.assertEqual((r["wins"], r["pairs"]), (3, 5))
         self.assertEqual(r["verdict"], "ok")
-        self.assertEqual(row(s, "w", "ok_frac")["verdict"], "ok")
+        self.assertEqual(s["ok_frac"]["verdict"], "ok")
+        lines = ab_perfbench.report("w", list(s.values())).splitlines()
+        self.assertEqual(lines[0], "workload w")
+        self.assertTrue(any(l.strip().startswith("run_s [s]") and "3/5" in l
+                            and l.endswith("ok") for l in lines))
 
     def test_slower_change_beyond_the_bound_is_worse(self):
-        s = ab_perfbench.summarize(
-            records("w", [1.0, 1.0, 1.02, 0.98], [1.3, 1.31, 1.29, 1.3]), SPECS)
-        r = row(s, "w", "run_s")
+        r = rows([1.0, 1.0, 1.02, 0.98], [1.3, 1.31, 1.29, 1.3])["run_s"]
         self.assertEqual(r["verdict"], "worse")
         self.assertEqual(r["wins"], 0)
 
     def test_base_wider_than_the_bound_is_unresolved(self):
-        s = ab_perfbench.summarize(
-            records("w", [0.5, 1.0, 1.5, 2.0], [3.0, 3.0, 3.0, 3.0]), SPECS)
-        self.assertEqual(row(s, "w", "run_s")["verdict"], "unresolved")
+        base = [0.5, 1.0, 1.5, 2.0]
+        self.assertEqual(rows(base, [3.0] * 4)["run_s"]["verdict"], "unresolved")
         # Unless every change run beats every base run.
-        s = ab_perfbench.summarize(
-            records("w", [0.5, 1.0, 1.5, 2.0], [0.4, 0.4, 0.4, 0.4]), SPECS)
-        self.assertEqual(row(s, "w", "run_s")["verdict"], "ok")
+        self.assertEqual(rows(base, [0.4] * 4)["run_s"]["verdict"], "ok")
+        # One pair has no spread to read.
+        self.assertEqual(rows([1.0], [3.0])["run_s"]["verdict"], "unresolved")
 
     def test_higher_is_better_metrics_count_drops_as_worse(self):
-        recs = [record("w", k, side, 1.0, ok_frac=1.0 if side == "base" else 0.9,
-                       failed=0 if side == "base" else 6)
-                for k in range(3) for side in ("base", "change")]
-        s = ab_perfbench.summarize(recs, SPECS)
-        self.assertEqual(row(s, "w", "ok_frac")["verdict"], "worse")
-        self.assertEqual(s["w"]["ops"], {"base": (192, 0), "change": (192, 18)})
+        s = rows([1.0] * 3, [1.0] * 3, ok_frac=(1.0, 0.9))
+        self.assertEqual(s["ok_frac"]["verdict"], "worse")
 
-    def test_a_pair_missing_one_side_is_left_out(self):
-        recs = records("w", [1.0, 1.0], [1.0, 1.0])
-        recs.append(record("w", 2, "base", 9.0))
-        s = ab_perfbench.summarize(recs, SPECS)
-        self.assertEqual(row(s, "w", "run_s")["pairs"], 2)
-        self.assertAlmostEqual(row(s, "w", "run_s")["base"], 1.0)
-
-    def test_summarize_mode_reads_canned_lines_and_sets_exit_status(self):
-        recs = (records("fast", [1.0, 1.0, 1.0], [0.9, 0.9, 0.9]) +
-                records("slow", [1.0, 1.0, 1.0], [2.0, 2.0, 2.0]))
-        with tempfile.TemporaryDirectory() as d:
-            path = os.path.join(d, "results.jsonl")
-            with open(path, "w") as f:
-                f.write("".join(json.dumps(r) + "\n" for r in recs))
-            p = subprocess.run(
-                [sys.executable, os.path.join(HERE, "ab_perfbench.py"),
-                 "--summarize", path],
-                stdout=subprocess.PIPE, text=True)
-        self.assertEqual(p.returncode, 1)
-        lines = p.stdout.splitlines()
-        self.assertIn("workload fast", lines)
-        self.assertIn("workload slow", lines)
-        run_rows = [l for l in lines if l.strip().startswith("run_s [s]")]
-        self.assertEqual(len(run_rows), 2)
-        self.assertTrue(run_rows[0].endswith("ok"))
-        self.assertIn("3/3", run_rows[0])
-        self.assertTrue(run_rows[1].endswith("worse"))
+    def test_a_metric_missing_from_a_run_is_left_out(self):
+        # perfbench reports no timings when every timed run failed.
+        s = rows([1.0, 1.0], [1.0, None], ok_frac=(1.0, 0.5))
+        self.assertNotIn("run_s", s)
+        self.assertEqual(s["ok_frac"]["verdict"], "worse")
 
 
 if __name__ == "__main__":
