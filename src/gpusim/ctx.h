@@ -118,62 +118,105 @@ struct SyncAwaiter : OpAwaiterBase {
 /// chasing) on scalar Load — that latency is real.
 inline constexpr std::uint32_t kMaxGather = 96;
 
-template <typename T>
+/// Parks a batch op (see DeviceOp::batch) on the current lane.
+inline void ParkBatch(std::coroutine_handle<> h, DeviceOp::Kind kind,
+                      std::uint8_t bytes, void* batch, std::uint32_t count,
+                      DeviceAddr run_addr = 0, void* run_host = nullptr) {
+  Lane* lane = CurrentLane();
+  lane->pending = DeviceOp{};
+  lane->pending.kind = kind;
+  lane->pending.bytes = bytes;
+  lane->pending.addr = run_addr;
+  lane->pending.host = run_host;
+  lane->pending.batch = batch;
+  lane->pending.batch_count = count;
+  lane->top = h;
+}
+
+// The batch awaiters below live in the coroutine frames of resident lanes,
+// so each is sized by its capacity N and holds its own results: a lane may
+// keep several batches' results live across later suspensions. Their
+// constructors are user-provided so that value-initialization does not
+// zero the N slots.
+
+/// A list of up to N independent loads (N defaults to kMaxGather).
+template <typename T, std::uint32_t N = kMaxGather>
 struct GatherAwaiter {
   static_assert(sizeof(T) <= 8 && std::is_trivially_copyable_v<T>);
 
-  BatchSlot slots[kMaxGather];
+  GatherSlot slots[N];
   std::uint32_t count = 0;
-  Lane* lane = nullptr;
 
-  GatherAwaiter() = default;
+  GatherAwaiter() {}
 
-  /// Appends one element; silently ignored beyond kMaxGather (callers
-  /// chunk; Full() lets them check).
+  /// Appends one element; silently ignored beyond N (callers chunk; Full()
+  /// lets them check).
   void Add(DevicePtr<T> p) {
-    if (count >= kMaxGather) return;
-    slots[count++] = BatchSlot{p.addr, p.host, 0, sizeof(T)};
+    if (count >= N) return;
+    slots[count++] =
+        GatherSlot{p.addr, reinterpret_cast<std::uintptr_t>(p.host)};
   }
-  bool Full() const { return count >= kMaxGather; }
+  bool Full() const { return count >= N; }
 
   bool await_ready() const noexcept { return count == 0; }
   void await_suspend(std::coroutine_handle<> h) {
-    lane = CurrentLane();
-    lane->pending = DeviceOp{};
-    lane->pending.kind = DeviceOp::Kind::kLoadBatch;
-    lane->pending.batch = slots;
-    lane->pending.batch_count = count;
-    lane->top = h;
+    ParkBatch(h, DeviceOp::Kind::kLoadBatch, sizeof(T), slots, count);
   }
   void await_resume() const { RaisePendingTrap(); }
 
   /// The i-th loaded value, valid after the co_await completes.
-  T Result(std::uint32_t i) const { return FromBits<T>(slots[i].result); }
+  T Result(std::uint32_t i) const { return FromBits<T>(slots[i].word); }
+};
+
+/// A load of `count` ≤ N consecutive elements from `base` (a streaming run):
+/// issued like a gather of base + 0 .. base + count - 1, but stored as the
+/// base, the count and the packed results.
+template <typename T, std::uint32_t N = kMaxGather>
+struct RunAwaiter {
+  static_assert(sizeof(T) <= 8 && std::is_trivially_copyable_v<T>);
+
+  DevicePtr<T> base;
+  std::uint32_t count;
+  T results[N];
+
+  RunAwaiter(DevicePtr<T> p, std::uint32_t n) : base(p), count(n) {
+    DGC_CHECK_MSG(n <= N, "LoadRun count exceeds the run's capacity");
+  }
+
+  bool await_ready() const noexcept { return count == 0; }
+  void await_suspend(std::coroutine_handle<> h) {
+    // A run is told from a list by its nonzero base address.
+    DGC_CHECK_MSG(base.addr != 0, "LoadRun from a null device pointer");
+    ParkBatch(h, DeviceOp::Kind::kLoadBatch, sizeof(T), results, count,
+              base.addr, base.host);
+  }
+  void await_resume() const { RaisePendingTrap(); }
+
+  /// The i-th loaded value, valid after the co_await completes.
+  T Result(std::uint32_t i) const { return results[i]; }
 };
 
 /// Pipelined batch store — the write-side counterpart of GatherAwaiter.
 /// Values are staged in the slots at Add time and written at issue.
-template <typename T>
+template <typename T, std::uint32_t N = kMaxGather>
 struct ScatterAwaiter {
   static_assert(sizeof(T) <= 8 && std::is_trivially_copyable_v<T>);
 
-  BatchSlot slots[kMaxGather];
+  ScatterSlot slots[N];
   std::uint32_t count = 0;
 
+  ScatterAwaiter() {}
+
+  /// Appends one element; silently ignored beyond N, like Gather's Add.
   void Add(DevicePtr<T> p, T value) {
-    if (count >= kMaxGather) return;
-    slots[count++] = BatchSlot{p.addr, p.host, ToBits(value), sizeof(T)};
+    if (count >= N) return;
+    slots[count++] = ScatterSlot{p.addr, p.host, ToBits(value)};
   }
-  bool Full() const { return count >= kMaxGather; }
+  bool Full() const { return count >= N; }
 
   bool await_ready() const noexcept { return count == 0; }
   void await_suspend(std::coroutine_handle<> h) {
-    Lane* lane = CurrentLane();
-    lane->pending = DeviceOp{};
-    lane->pending.kind = DeviceOp::Kind::kStoreBatch;
-    lane->pending.batch = slots;
-    lane->pending.batch_count = count;
-    lane->top = h;
+    ParkBatch(h, DeviceOp::Kind::kStoreBatch, sizeof(T), slots, count);
   }
   void await_resume() const { RaisePendingTrap(); }
 };
@@ -208,9 +251,18 @@ static_assert(std::is_trivially_destructible_v<SyncAwaiter>);
 static_assert(std::is_trivially_destructible_v<ExternalAwaiter>);
 static_assert(std::is_trivially_destructible_v<LoadAwaiter<double>>);
 static_assert(std::is_trivially_destructible_v<GatherAwaiter<double>>);
+static_assert(std::is_trivially_destructible_v<RunAwaiter<double>>);
 static_assert(std::is_trivially_destructible_v<ScatterAwaiter<double>>);
 static_assert(std::is_trivially_destructible_v<StoreAwaiter<double>>);
 static_assert(std::is_trivially_destructible_v<AtomicAwaiter<double>>);
+
+// Batch awaiters cost 16 B (gather), 24 B (scatter) or sizeof(T) (run) per
+// element of capacity and little else; these bounds keep a later field from
+// regrowing every resident lane's frame.
+static_assert(sizeof(GatherAwaiter<double, 9>) <= 160);
+static_assert(sizeof(ScatterAwaiter<double, 3>) <= 80);
+static_assert(sizeof(RunAwaiter<std::uint32_t, 4>) <= 48);
+static_assert(sizeof(RunAwaiter<double>) <= 8 * kMaxGather + 24);
 
 // Atomic functional updates, applied by the warp at issue time.
 template <typename T>
@@ -297,27 +349,30 @@ struct ThreadCtx {
   ///   for (...) g.Add(ptrs[i]);
   ///   co_await g;           // one pipelined instruction
   ///   ... g.Result(i) ...
-  template <typename T>
-  detail::GatherAwaiter<T> Gather() const {
-    return {};
+  /// The capacity N (default kMaxGather) sizes the awaiter, which lives in
+  /// the caller's frame: give a batch with a known bound its bound, e.g.
+  /// ctx.Gather<double, 9>().
+  template <typename T, std::uint32_t N = detail::kMaxGather>
+  detail::GatherAwaiter<T, N> Gather() const {
+    return detail::GatherAwaiter<T, N>();
   }
 
-  /// Gather of `count` consecutive elements starting at `p` (a streaming
-  /// run). count must be ≤ kMaxGather.
-  template <typename T>
-  detail::GatherAwaiter<T> LoadRun(DevicePtr<T> p, std::uint32_t count) const {
-    detail::GatherAwaiter<T> g;
-    for (std::uint32_t i = 0; i < count; ++i) g.Add(p + i);
-    return g;
+  /// Load of `count` consecutive elements starting at `p` (a streaming
+  /// run), read back with Result(i) like a gather. count must be ≤ the
+  /// capacity N (default kMaxGather; checked): ctx.LoadRun<4>(p, n).
+  template <std::uint32_t N = detail::kMaxGather, typename T>
+  detail::RunAwaiter<T, N> LoadRun(DevicePtr<T> p, std::uint32_t count) const {
+    return detail::RunAwaiter<T, N>(p, count);
   }
 
-  /// Empty scatter (pipelined independent stores) to fill with Add():
+  /// Empty scatter (pipelined independent stores) of capacity N (default
+  /// kMaxGather) to fill with Add():
   ///   auto s = ctx.Scatter<double>();
   ///   for (...) s.Add(out + i, value[i]);
   ///   co_await s;
-  template <typename T>
-  detail::ScatterAwaiter<T> Scatter() const {
-    return {};
+  template <typename T, std::uint32_t N = detail::kMaxGather>
+  detail::ScatterAwaiter<T, N> Scatter() const {
+    return detail::ScatterAwaiter<T, N>();
   }
 
   /// Block-wide barrier (__syncthreads). Implemented in ctx.cpp — it needs

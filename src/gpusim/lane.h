@@ -41,14 +41,20 @@ T FromBits(std::uint64_t b) {
   return v;
 }
 
-/// One element of a batched (pipelined) access — see ThreadCtx::Gather and
-/// ThreadCtx::Scatter. `result` receives a load's value (kLoadBatch) or
-/// holds the value to store (kStoreBatch).
-struct BatchSlot {
-  DeviceAddr addr = 0;
-  void* host = nullptr;
-  std::uint64_t result = 0;
-  std::uint8_t bytes = 0;
+/// One element of a list gather (ThreadCtx::Gather): its device address,
+/// and one word that holds the host pointer until issue and the loaded bits
+/// after it.
+struct GatherSlot {
+  DeviceAddr addr;
+  std::uint64_t word;
+};
+
+/// One element of a scatter (ThreadCtx::Scatter): where it goes and the
+/// bits to store.
+struct ScatterSlot {
+  DeviceAddr addr;
+  void* host;
+  std::uint64_t bits;
 };
 
 /// One pending device operation of a suspended lane.
@@ -76,9 +82,13 @@ struct DeviceOp {
   std::uint64_t (*apply)(void* host, std::uint64_t operand) = nullptr;
   Barrier* barrier = nullptr;
   std::function<std::uint64_t()>* external = nullptr;
-  /// kLoadBatch / kStoreBatch: the awaiter-owned slots (stable across the
-  /// suspension).
-  BatchSlot* batch = nullptr;
+  /// kLoadBatch / kStoreBatch: `batch_count` elements of `bytes` each, in
+  /// awaiter-owned storage that stays put across the suspension. A list
+  /// (addr == 0) names its elements in the GatherSlot (kLoadBatch) or
+  /// ScatterSlot (kStoreBatch) array at `batch`; a run (kLoadBatch with
+  /// addr/host = its first element) covers consecutive elements and packs
+  /// its results into `batch`.
+  void* batch = nullptr;
   std::uint32_t batch_count = 0;
 };
 
@@ -141,6 +151,10 @@ class Lane {
   std::exception_ptr* error_slot_ = nullptr;
   bool root_finished_ = false;
 };
+
+// 64k lanes are resident at the paper's Fig. 6b point; keep a lane's
+// scheduler state from growing unnoticed.
+static_assert(sizeof(Lane) == 224);
 
 /// The lane currently being resumed. Awaiters use it to reach the scheduler
 /// without threading a pointer through every promise. Each simulation is

@@ -305,30 +305,46 @@ std::uint64_t Warp::IssueMemoryGroup(std::span<Lane*> group, bool is_store,
 
 std::uint64_t Warp::IssueBatchGroup(std::span<Lane*> group, std::uint64_t t,
                                     bool is_store, LaunchStats& stats) {
-  // Pipelined independent loads/stores: every slot of every lane coalesces
-  // into one stream of sectors that pays bandwidth-serialized service but
-  // only one latency trip — the scoreboarded-MLP behaviour of streaming
-  // code.
+  // Pipelined independent loads/stores: every element of every lane
+  // coalesces into one stream of sectors that pays bandwidth-serialized
+  // service but only one latency trip — the scoreboarded-MLP behaviour of
+  // streaming code. Elements are visited in lane order, then element order,
+  // whatever the batch's form (DeviceOp::batch).
   Memcheck* const memcheck = lc_->config.memcheck;
   accesses_.clear();
   std::uint64_t total_bytes = 0;
   for (Lane* lane : group) {
     DeviceOp& op = lane->pending;
-    for (std::uint32_t i = 0; i < op.batch_count; ++i) {
-      BatchSlot& slot = op.batch[i];
-      DGC_CHECK_MSG(!IsSharedAddr(slot.addr),
+    const std::uint8_t bytes = op.bytes;
+    // Counts the element's access; false when the sanitizer vetoes it.
+    auto admit = [&](DeviceAddr addr) {
+      DGC_CHECK_MSG(!IsSharedAddr(addr),
                     "Gather/Scatter target global memory only");
-      const bool allowed =
-          memcheck == nullptr ||
-          memcheck->CheckAccess(*lane, op.kind, slot.addr, slot.bytes,
-                                is_store);
-      if (is_store) {
-        if (allowed) WriteBits(slot.host, slot.bytes, slot.result);
-      } else {
-        slot.result = allowed ? ReadBits(slot.host, slot.bytes) : 0;
+      accesses_.push_back({addr, bytes});
+      total_bytes += bytes;
+      return memcheck == nullptr ||
+             memcheck->CheckAccess(*lane, op.kind, addr, bytes, is_store);
+    };
+    if (is_store) {
+      auto* slots = static_cast<ScatterSlot*>(op.batch);
+      for (std::uint32_t i = 0; i < op.batch_count; ++i) {
+        const ScatterSlot& slot = slots[i];
+        if (admit(slot.addr)) WriteBits(slot.host, bytes, slot.bits);
       }
-      accesses_.push_back({slot.addr, slot.bytes});
-      total_bytes += slot.bytes;
+    } else if (op.addr != 0) {  // a run from addr/host into packed results
+      auto* src = static_cast<const std::uint8_t*>(op.host);
+      auto* dst = static_cast<std::uint8_t*>(op.batch);
+      for (std::uint32_t i = 0; i < op.batch_count; ++i) {
+        const std::size_t offset = std::size_t(i) * bytes;
+        WriteBits(dst + offset, bytes,
+                  admit(op.addr + offset) ? ReadBits(src + offset, bytes) : 0);
+      }
+    } else {
+      auto* slots = static_cast<GatherSlot*>(op.batch);
+      for (std::uint32_t i = 0; i < op.batch_count; ++i) {
+        const void* host = reinterpret_cast<const void*>(slots[i].word);
+        slots[i].word = admit(slots[i].addr) ? ReadBits(host, bytes) : 0;
+      }
     }
   }
   return AccessGlobal(total_bytes, is_store, t, stats);
