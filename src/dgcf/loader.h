@@ -58,6 +58,9 @@ struct InstanceResult {
   /// charged to the materializing instance only).
   std::uint64_t mem_peak_bytes = 0;
   std::uint64_t mem_allocations = 0;
+  /// The launch counters this instance's lanes issued (Lane::instance),
+  /// summed over its waves; elapsed_cycles is `cycles`.
+  sim::LaunchStats stats;
 };
 
 /// Outcome of a loader run.
@@ -80,10 +83,11 @@ struct RunResult {
   /// Sanitizer findings when the run was launched with a memcheck attached
   /// (clean/empty otherwise).
   sim::MemcheckReport memcheck;
-  /// Per-instance counter attribution when the run was profiled (empty
-  /// otherwise): entry 0 is the unattributed slot (instance -1), then one
-  /// entry per instance in id order. See gpusim/profiler.h.
-  std::vector<sim::InstanceStats> instance_stats;
+  /// Counters of work no instance owned (runtime bookkeeping, padding
+  /// lanes, a team between instances). With every InstanceResult::stats
+  /// it partitions the launch counters in `stats`; the loader's counts of
+  /// contained traps are in `stats` only.
+  sim::LaunchStats unattributed;
   /// Device-memory counters at the end of the run (peak is the high-water
   /// mark over the whole run).
   sim::DeviceMemSnapshot device_mem;

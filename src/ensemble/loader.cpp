@@ -10,7 +10,6 @@
 #include "ensemble/argfile.h"
 #include "ensemble/argscript.h"
 #include "gpusim/device.h"
-#include "gpusim/profiler.h"
 #include "gpusim/trace.h"
 #include "ompx/league.h"
 #include "support/argparse.h"
@@ -220,10 +219,14 @@ StatusOr<dgcf::RunResult> RunEnsemble(dgcf::AppEnv& env,
 
     run.waves = wave + 1;
     run.kernel_cycles += result->cycles;
-    // Waves run back-to-back on the device, so their elapsed cycles add —
-    // the sequential merge. (Per-instance stats of one wave are the
-    // concurrent case; the profiler handles those.)
+    // Waves run back-to-back on the device, so their counters add — the
+    // sequential merge, for the run and for each instance's slice of it.
     run.stats.AccumulateSequential(result->stats);
+    const std::vector<sim::LaunchStats>& buckets = result->instance_buckets;
+    run.unattributed.AccumulateSequential(buckets[0]);
+    for (std::size_t b = 1; b < buckets.size(); ++b) {
+      run.instances[b - 1].stats.AccumulateSequential(buckets[b]);
+    }
     for (std::string& f : result->failures) run.failures.push_back(std::move(f));
     // The sanitizer report is cumulative since Attach; the latest wave's
     // snapshot covers all waves so far.
@@ -267,16 +270,10 @@ StatusOr<dgcf::RunResult> RunEnsemble(dgcf::AppEnv& env,
   // map(from:Ret[:NI])
   run.transfer_cycles +=
       sim::TransferCycles(env.device->spec(), std::uint64_t(ni) * sizeof(int));
-  if (options.profiler != nullptr) {
-    for (std::uint32_t i = 0; i < ni; ++i) {
-      options.profiler->SetInstanceElapsed(std::int32_t(i),
-                                           run.instances[i].cycles);
-    }
-    run.instance_stats = options.profiler->instances();
-  }
   run.device_mem = env.device->memory().Snapshot();
   const auto& owner_stats = env.device->memory().owner_stats();
   for (std::uint32_t i = 0; i < ni; ++i) {
+    run.instances[i].stats.elapsed_cycles = run.instances[i].cycles;
     if (auto it = owner_stats.find(std::int32_t(i)); it != owner_stats.end()) {
       run.instances[i].mem_peak_bytes = it->second.peak_bytes;
       run.instances[i].mem_allocations = it->second.total_allocations;

@@ -43,9 +43,9 @@ struct EnsembleOptions {
   /// Optional instruction trace of the ensemble kernel (gpusim/trace.h).
   sim::Trace* trace = nullptr;
   /// Optional shadow-memory sanitizer (gpusim/memcheck.h). The loader
-  /// attaches it to the device memory, maps each team to the instance it is
-  /// currently executing (feeding the §3.3 cross-instance checker), and
-  /// returns its findings in RunResult::memcheck.
+  /// attaches it to the device memory and returns its findings in
+  /// RunResult::memcheck; each finding names the instance of the accessing
+  /// lane (Lane::instance), which feeds the §3.3 cross-instance checker.
   sim::Memcheck* memcheck = nullptr;
   /// Deterministic fault-injection plan (gpusim/faults.h); empty = off.
   /// RunEnsemble copies it once per call and wires the copy into every
@@ -76,8 +76,9 @@ struct EnsembleOptions {
   /// that commonly caused the failure.
   std::uint32_t max_attempts = 1;
   /// Optional launch profiler (gpusim/profiler.h); null = off. The loader
-  /// forwards it to every wave (one profiler observes all waves), records
-  /// each instance's elapsed cycles, and fills RunResult::instance_stats.
+  /// forwards it to every wave, so one timeline covers all waves.
+  /// Per-instance attribution does not need it: every run fills each
+  /// InstanceResult::stats and RunResult::unattributed.
   sim::Profiler* profiler = nullptr;
   /// Share content-identical read-only inputs across instances: apps
   /// acquire them via content-keyed shared segments, so identical instances

@@ -131,16 +131,10 @@ std::string FormatMetricsJson(const dgcf::RunResult& run,
   AppendCounters(out, "    ", run.stats, /*derived=*/true);
   out += "  },\n";
 
-  // Per-instance section: run.instance_stats entry 0 is the unattributed
-  // slot; instance i (when present) sits at entry i + 1 by construction.
   out += "  \"per_instance\": [";
   bool first = true;
   for (std::size_t i = 0; i < run.instances.size(); ++i) {
     const dgcf::InstanceResult& inst = run.instances[i];
-    sim::LaunchStats stats;  // zero when the run carried no attribution
-    if (i + 1 < run.instance_stats.size()) {
-      stats = run.instance_stats[i + 1].stats;
-    }
     out += first ? "\n" : ",\n";
     first = false;
     out += "    {\n";
@@ -153,20 +147,15 @@ std::string FormatMetricsJson(const dgcf::RunResult& run,
     out += "      \"attempts\": " + U64(inst.attempts) + ",\n";
     out += "      \"mem_peak_bytes\": " + U64(inst.mem_peak_bytes) + ",\n";
     out += "      \"mem_allocations\": " + U64(inst.mem_allocations) + ",\n";
-    AppendCounters(out, "      ", stats, /*derived=*/true);
+    AppendCounters(out, "      ", inst.stats, /*derived=*/true);
     out += "    }";
   }
   if (!first) out += "\n  ";
   out += "],\n";
 
-  if (!run.instance_stats.empty()) {
-    out += "  \"unattributed\": {\n";
-    AppendCounters(out, "    ", run.instance_stats[0].stats,
-                   /*derived=*/false);
-    out += "  },\n";
-  } else {
-    out += "  \"unattributed\": null,\n";
-  }
+  out += "  \"unattributed\": {\n";
+  AppendCounters(out, "    ", run.unattributed, /*derived=*/false);
+  out += "  },\n";
 
   if (profiler != nullptr) {
     AppendTimeline(out, *profiler);

@@ -1,7 +1,7 @@
 // Machine-readable metrics export (the `--metrics-json` sidecar).
 //
-// Serializes a loader RunResult plus the profiler's per-instance
-// attribution and utilization timeline into one stable JSON document that
+// Serializes a loader RunResult (with its per-instance attribution) plus
+// the profiler's utilization timeline into one stable JSON document that
 // tools and CI can diff. The schema is versioned ("dgc-metrics-v1") and the
 // field order is fixed — byte-identical output for identical runs is part
 // of the contract (sweeps emit the same sidecar for any --jobs value).
@@ -30,8 +30,8 @@
 //                                              "divergence": ... } }, ... ] }
 //   }
 // Derived rates with a zero denominator serialize as null (mirrors the
-// "n/a" rule in LaunchStats::ToString). "per_instance", "unattributed" and
-// "timeline" degrade to [] / null when the run was not profiled.
+// "n/a" rule in LaunchStats::ToString). "timeline" is null when the run
+// was not profiled.
 #pragma once
 
 #include <string>
@@ -47,8 +47,7 @@ namespace dgc::ensemble {
 
 /// Serializes the run; the header (app, device, thread limit, instance
 /// count, teams per block) comes from the run itself. `profiler` may be
-/// null: the document then carries only the launch-global section (empty
-/// per_instance, null timeline).
+/// null: the document then has a null timeline.
 std::string FormatMetricsJson(const dgcf::RunResult& run,
                               const sim::Profiler* profiler);
 

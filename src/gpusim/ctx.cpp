@@ -41,6 +41,7 @@ void ThreadCtx::SetRowInstance(std::int32_t instance,
                                std::uint64_t watchdog_cycles) const {
   const std::uint64_t deadline =
       watchdog_cycles == 0 ? 0 : Now() + watchdog_cycles;
+  block->launch_context()->AddInstance(instance);
   for (Lane& row_lane : block->lanes()) {
     if (row_lane.ctx->tid3.y != tid3.y) continue;
     row_lane.instance = instance;

@@ -73,6 +73,7 @@ StatusOr<LaunchResult> Device::Launch(const LaunchConfig& config,
   result.cycles = lc.stats.elapsed_cycles + spec_.kernel_launch_overhead;
   result.failures = std::move(lc.failures);
   result.failure_count = lc.failure_count;
+  result.instance_buckets = std::move(lc.instance_buckets);
   if (config.memcheck != nullptr) result.memcheck = config.memcheck->report();
 
   lifetime_stats_.AccumulateSequential(lc.stats);

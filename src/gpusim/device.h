@@ -24,6 +24,10 @@ struct LaunchResult {
   /// Kernel duration in device cycles, including launch overhead.
   std::uint64_t cycles = 0;
   LaunchStats stats;
+  /// `stats` split by the issuing lane's instance (Lane::instance): entry 0
+  /// is work no instance owned (-1), entry i + 1 instance i. Bucket
+  /// elapsed_cycles and blocks_launched are 0.
+  std::vector<LaunchStats> instance_buckets;
   /// How the launch ended. kDeadlocked means the event queue drained with
   /// blocks still resident — the kernel retired abnormally but the process
   /// (and sweep siblings) carry on; loaders map it to per-instance

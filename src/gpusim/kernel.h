@@ -39,9 +39,9 @@ struct LaunchConfig {
   /// the device spec).
   std::uint64_t watchdog_cycles = 0;
   /// Optional launch profiler (see gpusim/profiler.h); null = off. When
-  /// set, counters are attributed to each lane's instance (Lane::instance)
-  /// and a utilization timeline is sampled. Non-owning; one profiler may
-  /// observe several sequential launches (retry waves).
+  /// set, a utilization timeline is sampled (per-instance attribution is
+  /// always on: LaunchResult::instance_buckets). Non-owning; one profiler
+  /// may observe several sequential launches (retry waves).
   Profiler* profiler = nullptr;
 };
 

@@ -76,7 +76,6 @@ struct DeviceOp {
   DeviceAddr addr = 0;
   void* host = nullptr;
   std::uint64_t bits = 0;    ///< store value / atomic operand
-  std::uint64_t result = 0;  ///< load result / atomic old value / RPC result
   std::uint64_t cycles = 0;  ///< work duration or external latency
   /// Atomic read-modify-write, applied at issue time in lane order.
   std::uint64_t (*apply)(void* host, std::uint64_t operand) = nullptr;
@@ -134,8 +133,9 @@ class Lane {
   TrapKind pending_trap = TrapKind::kNone;
   /// The application instance this lane's team row is running (>= 0), or -1
   /// outside any instance. Set per row, with watchdog_deadline, by
-  /// ThreadCtx::SetRowInstance; the profiler buckets, failure prefixes, heap
-  /// owners and memcheck all read it. (Placed here, it fills padding.)
+  /// ThreadCtx::SetRowInstance; the launch's counter buckets, failure
+  /// prefixes, heap owners and memcheck all read it. (Placed here, it
+  /// fills padding.)
   std::int32_t instance = -1;
   /// Cycle at which pending_trap was armed (for the trap message).
   std::uint64_t trap_cycle = 0;
@@ -154,7 +154,7 @@ class Lane {
 
 // 64k lanes are resident at the paper's Fig. 6b point; keep a lane's
 // scheduler state from growing unnoticed.
-static_assert(sizeof(Lane) == 224);
+static_assert(sizeof(Lane) == 216);
 
 /// The lane currently being resumed. Awaiters use it to reach the scheduler
 /// without threading a pointer through every promise. Each simulation is

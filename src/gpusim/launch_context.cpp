@@ -42,12 +42,11 @@ Status LaunchContext::Run() {
   }
   if (profiler != nullptr) {
     profiler->OnLaunchEnd(engine.now(), ActiveWarps(), ResidentBlocks(),
-                          instance_buckets_);
-    // Fold the buckets back so the launch-global totals are identical to a
-    // non-profiled run (buckets carry elapsed_cycles = 0, set below).
-    for (const LaunchStats& bucket : instance_buckets_) {
-      stats.AccumulateSequential(bucket);
-    }
+                          instance_buckets);
+  }
+  // Buckets carry elapsed_cycles = 0; the launch's own is set below.
+  for (const LaunchStats& bucket : instance_buckets) {
+    stats.AccumulateSequential(bucket);
   }
   stats.elapsed_cycles = engine.now();
   stats.blocks_launched = next_block_;
@@ -63,17 +62,19 @@ void LaunchContext::DrainEvents() {
     // profiling cannot perturb event order (determinism).
     if (profiler != nullptr && profiler->NeedsSampleBefore(t_next)) {
       profiler->AdvanceTo(t_next, ActiveWarps(), ResidentBlocks(),
-                          instance_buckets_);
+                          instance_buckets);
     }
     engine.RunOne();
   }
 }
 
 LaunchStats& LaunchContext::IssueStats(const Lane& lane) {
-  if (config.profiler == nullptr) return stats;
-  const std::size_t index = std::size_t(lane.instance + 1);
-  if (instance_buckets_.size() <= index) instance_buckets_.resize(index + 1);
-  return instance_buckets_[index];
+  return instance_buckets[std::size_t(lane.instance + 1)];
+}
+
+void LaunchContext::AddInstance(std::int32_t instance) {
+  const std::size_t index = std::size_t(instance + 1);
+  if (instance_buckets.size() <= index) instance_buckets.resize(index + 1);
 }
 
 std::uint32_t LaunchContext::ActiveWarps() const {

@@ -43,11 +43,14 @@ struct LaunchContext {
   /// stats counters (kNone for ordinary exceptions).
   void RecordFailure(const Lane& lane, TrapKind kind, const std::string& what);
 
-  /// Stats sink for counter bumps issued on behalf of `lane`. Without a
-  /// profiler this is the launch-global `stats`; with one it is the bucket
-  /// of the lane's instance (Lane::instance), folded back into `stats` when
-  /// the run ends — totals are identical either way.
+  /// Stats sink for counter bumps issued on behalf of `lane`: the bucket
+  /// of the lane's instance (Lane::instance), folded into `stats` when the
+  /// run ends. Never grows the bucket vector (AddInstance does), so a
+  /// returned reference stays valid across later calls.
   LaunchStats& IssueStats(const Lane& lane);
+  /// Makes sure `instance` (>= -1) has a bucket before any lane running it
+  /// issues; called where a lane's instance is set (ThreadCtx::SetRowInstance).
+  void AddInstance(std::int32_t instance);
 
   /// Resident warps summed over all SMs (timeline sampling).
   std::uint32_t ActiveWarps() const;
@@ -64,6 +67,9 @@ struct LaunchContext {
   LaunchOutcome outcome = LaunchOutcome::kCompleted;
   std::vector<std::string> failures;
   std::uint64_t failure_count = 0;
+  /// Per-instance counter buckets: index 0 collects unattributed (-1) work,
+  /// index i + 1 instance i. They partition the counters in `stats`.
+  std::vector<LaunchStats> instance_buckets = std::vector<LaunchStats>(1);
 
  private:
   void TrySchedule(std::uint64_t now);
@@ -71,9 +77,6 @@ struct LaunchContext {
   /// queue is empty.
   void DrainEvents();
 
-  /// Per-instance counter buckets, live only while config.profiler is set:
-  /// index 0 collects unattributed (-1) work, index i + 1 instance i.
-  std::vector<LaunchStats> instance_buckets_;
   std::vector<SM> sms_;
   std::vector<std::unique_ptr<Block>> blocks_;
   std::uint64_t total_blocks_ = 0;

@@ -1,57 +1,39 @@
 #include "gpusim/stats.h"
 
-#include <algorithm>
-
 #include "support/str.h"
 #include "support/units.h"
 
 namespace dgc::sim {
 
-namespace {
-
-/// Sums every throughput counter of `o` into `s` — everything except
-/// elapsed_cycles, whose merge rule depends on whether the two stat sets
-/// describe sequential or concurrent work.
-void AddCounters(LaunchStats& s, const LaunchStats& o) {
-  s.warp_instructions += o.warp_instructions;
-  s.compute_instructions += o.compute_instructions;
-  s.load_instructions += o.load_instructions;
-  s.store_instructions += o.store_instructions;
-  s.atomic_instructions += o.atomic_instructions;
-  s.external_calls += o.external_calls;
-  s.barrier_arrivals += o.barrier_arrivals;
-  s.divergent_replays += o.divergent_replays;
-  s.global_sectors += o.global_sectors;
-  s.ideal_sectors += o.ideal_sectors;
-  s.l1_hits += o.l1_hits;
-  s.l1_misses += o.l1_misses;
-  s.l2_hits += o.l2_hits;
-  s.l2_misses += o.l2_misses;
-  s.dram_bytes += o.dram_bytes;
-  s.dram_row_hits += o.dram_row_hits;
-  s.dram_row_misses += o.dram_row_misses;
-  s.smem_accesses += o.smem_accesses;
-  s.smem_bank_conflicts += o.smem_bank_conflicts;
-  s.dram_queue_cycles += o.dram_queue_cycles;
-  s.l2_queue_cycles += o.l2_queue_cycles;
-  s.barrier_stall_cycles += o.barrier_stall_cycles;
-  s.compute_cycles_issued += o.compute_cycles_issued;
-  s.blocks_launched += o.blocks_launched;
-  s.memcheck_findings += o.memcheck_findings;
-  s.lane_traps += o.lane_traps;
-  s.watchdog_traps += o.watchdog_traps;
-}
-
-}  // namespace
-
 void LaunchStats::AccumulateSequential(const LaunchStats& o) {
-  AddCounters(*this, o);
+  warp_instructions += o.warp_instructions;
+  compute_instructions += o.compute_instructions;
+  load_instructions += o.load_instructions;
+  store_instructions += o.store_instructions;
+  atomic_instructions += o.atomic_instructions;
+  external_calls += o.external_calls;
+  barrier_arrivals += o.barrier_arrivals;
+  divergent_replays += o.divergent_replays;
+  global_sectors += o.global_sectors;
+  ideal_sectors += o.ideal_sectors;
+  l1_hits += o.l1_hits;
+  l1_misses += o.l1_misses;
+  l2_hits += o.l2_hits;
+  l2_misses += o.l2_misses;
+  dram_bytes += o.dram_bytes;
+  dram_row_hits += o.dram_row_hits;
+  dram_row_misses += o.dram_row_misses;
+  smem_accesses += o.smem_accesses;
+  smem_bank_conflicts += o.smem_bank_conflicts;
+  dram_queue_cycles += o.dram_queue_cycles;
+  l2_queue_cycles += o.l2_queue_cycles;
+  barrier_stall_cycles += o.barrier_stall_cycles;
+  compute_cycles_issued += o.compute_cycles_issued;
+  blocks_launched += o.blocks_launched;
+  memcheck_findings += o.memcheck_findings;
+  lane_traps += o.lane_traps;
+  watchdog_traps += o.watchdog_traps;
   elapsed_cycles += o.elapsed_cycles;
-}
-
-void LaunchStats::AccumulateConcurrent(const LaunchStats& o) {
-  AddCounters(*this, o);
-  elapsed_cycles = std::max(elapsed_cycles, o.elapsed_cycles);
 }
 
 namespace {

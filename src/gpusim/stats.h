@@ -59,12 +59,7 @@ struct LaunchStats {
   /// including elapsed_cycles — back-to-back durations add.
   void AccumulateSequential(const LaunchStats& other);
 
-  /// Merges counters of work that ran CONCURRENTLY inside one launch
-  /// (per-instance stats of co-resident instances): throughput counters
-  /// sum, but elapsed_cycles takes the max — two instances that each ran
-  /// 1000 overlapping cycles occupied the device for 1000 cycles, not
-  /// 2000. Summing here was the historical bug this split fixes.
-  void AccumulateConcurrent(const LaunchStats& other);
+  bool operator==(const LaunchStats&) const = default;
 
   /// Fraction of coalesced sectors that were strictly necessary (1.0 is
   /// perfectly coalesced; lower means scattered accesses).
@@ -77,15 +72,6 @@ struct LaunchStats {
   /// "n/a" (not 0.00): a kernel that never touched a cache did not miss
   /// 100% of the time.
   std::string ToString() const;
-};
-
-/// Per-instance slice of a launch's counters, attributed by the issuing
-/// lane's Lane::instance through the profiler (gpusim/profiler.h).
-/// instance == -1 collects work no instance owns (runtime bookkeeping,
-/// padding lanes, teams between instances).
-struct InstanceStats {
-  std::int32_t instance = -1;
-  LaunchStats stats;
 };
 
 }  // namespace dgc::sim

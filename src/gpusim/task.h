@@ -49,20 +49,32 @@ struct FinalAwaiter {
   void await_resume() const noexcept {}
 };
 
+/// How a promise takes the coroutine's result: `co_return v` stores it for
+/// the awaiting caller; DeviceTask<void> has nothing to store.
+template <typename T>
+struct PromiseReturn : PromiseCore {
+  T value{};
+  void return_value(T v) { value = std::move(v); }
+  T TakeValue() { return std::move(value); }
+};
+
+template <>
+struct PromiseReturn<void> : PromiseCore {
+  void return_void() {}
+  void TakeValue() {}
+};
+
 }  // namespace detail
 
 template <typename T = void>
 class [[nodiscard]] DeviceTask {
  public:
-  struct promise_type : PromiseCore {
-    T value{};
-
+  struct promise_type : detail::PromiseReturn<T> {
     DeviceTask get_return_object() {
       return DeviceTask(std::coroutine_handle<promise_type>::from_promise(*this));
     }
     std::suspend_always initial_suspend() noexcept { return {}; }
     detail::FinalAwaiter final_suspend() noexcept { return {}; }
-    void return_value(T v) { value = std::move(v); }
     void unhandled_exception() { this->error = std::current_exception(); }
   };
 
@@ -98,56 +110,7 @@ class [[nodiscard]] DeviceTask {
   }
   T await_resume() {
     if (h_.promise().error) std::rethrow_exception(h_.promise().error);
-    return std::move(h_.promise().value);
-  }
-
- private:
-  Handle h_;
-};
-
-template <>
-class [[nodiscard]] DeviceTask<void> {
- public:
-  struct promise_type : PromiseCore {
-    DeviceTask get_return_object() {
-      return DeviceTask(std::coroutine_handle<promise_type>::from_promise(*this));
-    }
-    std::suspend_always initial_suspend() noexcept { return {}; }
-    detail::FinalAwaiter final_suspend() noexcept { return {}; }
-    void return_void() {}
-    void unhandled_exception() { this->error = std::current_exception(); }
-  };
-
-  using Handle = std::coroutine_handle<promise_type>;
-
-  DeviceTask() = default;
-  explicit DeviceTask(Handle h) : h_(h) {}
-  DeviceTask(DeviceTask&& o) noexcept : h_(std::exchange(o.h_, {})) {}
-  DeviceTask& operator=(DeviceTask&& o) noexcept {
-    if (this != &o) {
-      if (h_) h_.destroy();
-      h_ = std::exchange(o.h_, {});
-    }
-    return *this;
-  }
-  DeviceTask(const DeviceTask&) = delete;
-  DeviceTask& operator=(const DeviceTask&) = delete;
-  ~DeviceTask() {
-    if (h_) h_.destroy();
-  }
-
-  Handle Release() { return std::exchange(h_, {}); }
-  Handle raw() const { return h_; }
-
-  bool await_ready() const noexcept { return false; }
-  std::coroutine_handle<> await_suspend(std::coroutine_handle<> parent) {
-    DGC_CHECK(h_ && !h_.done());
-    h_.promise().continuation = parent;
-    CurrentLane()->top = h_;
-    return h_;
-  }
-  void await_resume() {
-    if (h_.promise().error) std::rethrow_exception(h_.promise().error);
+    return h_.promise().TakeValue();
   }
 
  private:

@@ -24,7 +24,7 @@ bool CircuitBreaker::RecordFailure(std::uint64_t now) {
     // Each failed probe doubles the cooldown (capped): a persistently bad
     // app consumes geometrically less probe capacity.
     cooldown_multiplier_ =
-        std::min(cooldown_multiplier_ * 2, config_.max_cooldown_multiplier);
+        std::min(cooldown_multiplier_ * 2, kMaxCooldownMultiplier);
   }
   return true;
 }

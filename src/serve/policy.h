@@ -45,9 +45,10 @@ class CircuitBreaker {
     std::uint32_t failure_threshold = 3;
     /// Cooldown cycles while open before the half-open probe.
     std::uint64_t cooldown = 65536;
-    /// Cap on the cooldown multiplier doubled by each failed probe.
-    std::uint64_t max_cooldown_multiplier = 8;
   };
+
+  /// Cap on the cooldown multiplier doubled by each failed probe.
+  static constexpr std::uint64_t kMaxCooldownMultiplier = 8;
 
   enum class State : std::uint8_t { kClosed = 0, kOpen, kHalfOpen };
 

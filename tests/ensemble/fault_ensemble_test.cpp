@@ -13,6 +13,7 @@
 #include "ensemble/experiment.h"
 #include "ensemble/loader.h"
 #include "gpusim/device.h"
+#include "gpusim/profiler.h"
 #include "ompx/team.h"
 #include "support/str.h"
 
@@ -207,6 +208,56 @@ TEST(FaultEnsemble, RetryWaveLeavesFirstWaveSiblingsUntouched) {
     EXPECT_EQ(base.instances[i].cycles, retried.instances[i].cycles) << i;
     EXPECT_EQ(base.instances[i].attempts, retried.instances[i].attempts) << i;
   }
+}
+
+TEST(FaultEnsemble, AttributionIsIdenticalWithAndWithoutProfiler) {
+  // Four instances on two teams, so each team runs two in turn; instance 1
+  // hits an injected OOM and recovers on a retry wave. The per-instance
+  // counters come from the launch, so attaching a profiler (which only
+  // samples the timeline) must leave every one of them unchanged.
+  sim::Profiler profiler(sim::Profiler::Options{.sample_interval = 256});
+  auto run_with = [](sim::Profiler* observer) {
+    Env env;
+    EnsembleOptions opt;
+    opt.app = "faultprobe";
+    opt.instance_args = {{"-w", "20"}, {"-o", "-w", "5"}, {"-w", "30"},
+                         {"-w", "10"}};
+    opt.thread_limit = 8;
+    opt.num_teams = 2;
+    opt.faults = *FaultPlan::Parse("malloc-fail@1");
+    opt.max_attempts = 2;
+    opt.profiler = observer;
+    auto run = RunEnsemble(env.app_env, opt);
+    EXPECT_TRUE(run.ok()) << run.status().ToString();
+    return *run;
+  };
+  const dgcf::RunResult plain = run_with(nullptr);
+  const dgcf::RunResult profiled = run_with(&profiler);
+  ASSERT_EQ(plain.waves, 2u);
+  EXPECT_EQ(profiler.waves(), 2u);
+  EXPECT_TRUE(plain.all_ok());
+  EXPECT_EQ(plain.instances[1].attempts, 2u);
+
+  EXPECT_TRUE(plain.stats == profiled.stats);
+  EXPECT_TRUE(plain.unattributed == profiled.unattributed);
+  sim::LaunchStats sum = plain.unattributed;
+  for (std::uint32_t i = 0; i < 4; ++i) {
+    SCOPED_TRACE(StrFormat("instance %u", i));
+    const sim::LaunchStats& stats = plain.instances[i].stats;
+    EXPECT_TRUE(stats == profiled.instances[i].stats);
+    EXPECT_EQ(stats.elapsed_cycles, plain.instances[i].cycles);
+    EXPECT_GT(stats.warp_instructions, 0u);
+    sim::LaunchStats work = stats;
+    work.elapsed_cycles = 0;
+    sum.AccumulateSequential(work);
+  }
+  // Instances and the unattributed slot partition the run's counters; the
+  // contained OOM is in the run's trap count only.
+  EXPECT_EQ(sum.warp_instructions, plain.stats.warp_instructions);
+  EXPECT_EQ(sum.compute_cycles_issued, plain.stats.compute_cycles_issued);
+  EXPECT_EQ(sum.barrier_arrivals, plain.stats.barrier_arrivals);
+  EXPECT_EQ(sum.lane_traps, 0u);
+  EXPECT_EQ(plain.stats.lane_traps, 1u);
 }
 
 TEST(FaultEnsemble, NonzeroExitIsCompletedAndNeverRetried) {

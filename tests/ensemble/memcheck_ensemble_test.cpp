@@ -11,7 +11,6 @@
 #include "ensemble/isolation.h"
 #include "ensemble/loader.h"
 #include "gpusim/memcheck.h"
-#include "gpusim/profiler.h"
 #include "ompx/league.h"
 #include "support/str.h"
 
@@ -124,7 +123,7 @@ TEST(EnsembleMemcheck, RealAppEnsembleRunsClean) {
 }
 
 // One record names the instance a team is running: four instances on two
-// teams, so each team runs two in turn, and the profiler bucket, the heap
+// teams, so each team runs two in turn, and the counter attribution, the heap
 // owner (mem_peak_bytes), the loader's "instance=I contained:" line and the
 // memcheck findings must all name the same instance (the lane-failure prefix
 // is checked by Launch.KernelExceptionReportedAsLaneFailure). Instance I is
@@ -156,7 +155,6 @@ TEST(EnsembleMemcheck, AllAttributionsNameTheSameInstance) {
   dgcf::AppEnv env{&device, &rpc, &libc};
   sim::Memcheck memcheck;
   memcheck.Attach(device.memory());
-  sim::Profiler profiler;
 
   const std::uint32_t ni = 4;
   EnsembleOptions opt;
@@ -167,12 +165,10 @@ TEST(EnsembleMemcheck, AllAttributionsNameTheSameInstance) {
   opt.num_teams = 2;
   opt.thread_limit = 32;
   opt.memcheck = &memcheck;
-  opt.profiler = &profiler;
 
   auto run = RunEnsemble(env, opt);
   ASSERT_TRUE(run.ok()) << run.status().ToString();
   ASSERT_EQ(run->instances.size(), ni);
-  ASSERT_EQ(run->instance_stats.size(), ni + 1);
   std::vector<std::uint32_t> oob_findings(ni, 0);
   for (const sim::MemcheckFinding& f : run->memcheck.findings) {
     ASSERT_TRUE(f.has_region) << f.ToString();
@@ -185,10 +181,9 @@ TEST(EnsembleMemcheck, AllAttributionsNameTheSameInstance) {
   }
   for (std::uint32_t i = 0; i < ni; ++i) {
     SCOPED_TRACE(StrFormat("instance %u", i));
-    const sim::InstanceStats& bucket = run->instance_stats[i + 1];
-    EXPECT_EQ(bucket.instance, std::int32_t(i));
-    EXPECT_EQ(bucket.stats.load_instructions, i + 1u);
-    EXPECT_EQ(bucket.stats.store_instructions, 1u);
+    const sim::LaunchStats& stats = run->instances[i].stats;
+    EXPECT_EQ(stats.load_instructions, i + 1u);
+    EXPECT_EQ(stats.store_instructions, 1u);
     EXPECT_EQ(run->instances[i].mem_peak_bytes, (i + 1u) * 256u);
     EXPECT_EQ(run->instances[i].reason, dgcf::TerminationReason::kTrapAbort);
     EXPECT_EQ(std::count_if(run->failures.begin(), run->failures.end(),
@@ -200,8 +195,8 @@ TEST(EnsembleMemcheck, AllAttributionsNameTheSameInstance) {
     EXPECT_EQ(oob_findings[i], 1u);
   }
   // Nothing the instances did leaks into the unattributed bucket.
-  EXPECT_EQ(run->instance_stats[0].stats.load_instructions, 0u);
-  EXPECT_EQ(run->instance_stats[0].stats.store_instructions, 0u);
+  EXPECT_EQ(run->unattributed.load_instructions, 0u);
+  EXPECT_EQ(run->unattributed.store_instructions, 0u);
 }
 
 // Identical runs with and without the sanitizer must cost identical cycles:

@@ -122,7 +122,6 @@ TEST(Metrics, HeaderStringsAreEscaped) {
 TEST(Metrics, PerInstanceSectionMatchesAttribution) {
   ProfiledRun pr = RunProbe(3);
   ASSERT_EQ(pr.run.instances.size(), 3u);
-  ASSERT_EQ(pr.run.instance_stats.size(), 4u);  // unattributed + 3
   const std::string json = FormatMetricsJson(pr.run, &pr.profiler);
   // Instance 1's serialized elapsed_cycles is its attributed counter, not
   // the launch-global one.
@@ -133,7 +132,7 @@ TEST(Metrics, PerInstanceSectionMatchesAttribution) {
       "      \"elapsed_cycles\": %llu,",
       (unsigned long long)pr.run.instances[1].mem_peak_bytes,
       (unsigned long long)pr.run.instances[1].mem_allocations,
-      (unsigned long long)pr.run.instance_stats[2].stats.elapsed_cycles);
+      (unsigned long long)pr.run.instances[1].stats.elapsed_cycles);
   EXPECT_NE(json.find(expect), std::string::npos) << json.substr(0, 2000);
 }
 

@@ -172,14 +172,13 @@ TEST(CircuitBreaker, ProbeFailureDoublesCooldownProbeSuccessCloses) {
   CircuitBreaker::Config config;
   config.failure_threshold = 1;
   config.cooldown = 1000;
-  config.max_cooldown_multiplier = 4;
   CircuitBreaker breaker(config);
   EXPECT_TRUE(breaker.RecordFailure(0));
   breaker.HalfOpen();
   EXPECT_EQ(breaker.state(), CircuitBreaker::State::kHalfOpen);
   EXPECT_FALSE(breaker.Rejecting());  // the probe may run
   // Escalation kicks in from the second failed probe: each reopen applies
-  // the current multiplier, then doubles it (capped).
+  // the current multiplier, then doubles it (capped at 8x).
   EXPECT_TRUE(breaker.RecordFailure(2000));  // probe failed: reopen
   EXPECT_EQ(breaker.open_until(), 2000u + 1000u);
   breaker.HalfOpen();
@@ -187,10 +186,13 @@ TEST(CircuitBreaker, ProbeFailureDoublesCooldownProbeSuccessCloses) {
   EXPECT_EQ(breaker.open_until(), 5000u + 1000u * 2u);
   breaker.HalfOpen();
   EXPECT_TRUE(breaker.RecordFailure(9000));
-  EXPECT_EQ(breaker.open_until(), 9000u + 1000u * 4u);  // capped at 4x
+  EXPECT_EQ(breaker.open_until(), 9000u + 1000u * 4u);
   breaker.HalfOpen();
   EXPECT_TRUE(breaker.RecordFailure(20000));
-  EXPECT_EQ(breaker.open_until(), 20000u + 1000u * 4u);
+  EXPECT_EQ(breaker.open_until(), 20000u + 1000u * 8u);  // the cap
+  breaker.HalfOpen();
+  EXPECT_TRUE(breaker.RecordFailure(40000));
+  EXPECT_EQ(breaker.open_until(), 40000u + 1000u * 8u);
   breaker.HalfOpen();
   breaker.RecordSuccess();
   EXPECT_EQ(breaker.state(), CircuitBreaker::State::kClosed);

@@ -86,29 +86,26 @@ void PrintProfile(const dgcf::RunResult& run, const sim::Profiler& profiler) {
   std::printf("%9s %12s %12s %12s %10s %10s %10s %10s %7s\n", "instance",
               "cycles", "instr", "dram-bytes", "dram-q", "l2-q", "barrier",
               "mem-peak", "allocs");
-  for (const sim::InstanceStats& entry : run.instance_stats) {
-    const sim::LaunchStats& s = entry.stats;
-    if (entry.instance < 0 && s.warp_instructions == 0 && s.dram_bytes == 0) {
-      continue;  // nothing landed in the unattributed slot; skip the row
-    }
-    std::uint64_t mem_peak = 0, mem_allocs = 0;
-    if (entry.instance >= 0 &&
-        std::size_t(entry.instance) < run.instances.size()) {
-      mem_peak = run.instances[std::size_t(entry.instance)].mem_peak_bytes;
-      mem_allocs = run.instances[std::size_t(entry.instance)].mem_allocations;
-    }
-    std::printf("%9s %12s %12s %12s %10s %10s %10s %10s %7s\n",
-                entry.instance < 0
-                    ? "(none)"
-                    : StrFormat("%d", entry.instance).c_str(),
+  auto row = [](const char* who, const sim::LaunchStats& s,
+                std::uint64_t mem_peak, std::uint64_t mem_allocs) {
+    std::printf("%9s %12s %12s %12s %10s %10s %10s %10s %7s\n", who,
                 FormatCount(s.elapsed_cycles).c_str(),
                 FormatCount(s.warp_instructions).c_str(),
                 FormatBytes(s.dram_bytes).c_str(),
                 FormatCount(s.dram_queue_cycles).c_str(),
                 FormatCount(s.l2_queue_cycles).c_str(),
                 FormatCount(s.barrier_stall_cycles).c_str(),
-                FormatBytes(mem_peak).c_str(),
-                FormatCount(mem_allocs).c_str());
+                FormatBytes(mem_peak).c_str(), FormatCount(mem_allocs).c_str());
+  };
+  // The unattributed row only when something landed there.
+  if (run.unattributed.warp_instructions != 0 ||
+      run.unattributed.dram_bytes != 0) {
+    row("(none)", run.unattributed, 0, 0);
+  }
+  for (std::size_t i = 0; i < run.instances.size(); ++i) {
+    const dgcf::InstanceResult& inst = run.instances[i];
+    row(StrFormat("%zu", i).c_str(), inst.stats, inst.mem_peak_bytes,
+        inst.mem_allocations);
   }
   const sim::DeviceMemSnapshot& mem = run.device_mem;
   std::printf("device memory: peak %s of %s, %s allocation(s)",

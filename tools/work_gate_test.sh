@@ -5,7 +5,9 @@
 # and keeps the counters that measure work: kernel cycles, warp, load and
 # store instructions, sectors and barriers. An algorithmic regression (more
 # instructions, worse coalescing, extra barriers) fails here
-# deterministically, whatever the host's speed or noise.
+# deterministically, whatever the host's speed or noise. Each case runs a
+# second time with --profile, whose counter lines must equal the plain
+# run's: the profiler only samples a timeline, it never changes the work.
 #
 # usage: work_gate_test.sh <dgc-run> <golden> <outdir>
 # To regenerate after an intended model change, copy <outdir>/work_gate.log
@@ -27,13 +29,24 @@ printf -- '-i 24 -g 2048 -l 256 -s %s\n' 31 32 31 32 \
 
 LOG="$OUT/work_gate.log"
 : > "$LOG"
+status=0
 run() {  # <workload> <app> <thread limit> <share>
+  for mode in plain profile; do
+    local profile=""
+    [ "$mode" = profile ] && profile=--profile
+    "$BIN" "$2" --device a100 --memory-scale 512 --stats $profile -t "$3" \
+      --share-data "$4" -f "$OUT/$1.args" > "$OUT/$1.$mode.out" 2>&1
+    { echo "exit $?"
+      grep -E '^[0-9]+ instance|^warp instructions|^sectors|^barriers' \
+        "$OUT/$1.$mode.out"; } > "$OUT/$1.$mode.counters"
+  done
   echo "== $1" >> "$LOG"
-  "$BIN" "$2" --device a100 --memory-scale 512 --stats -t "$3" \
-    --share-data "$4" -f "$OUT/$1.args" > "$OUT/$1.out" 2>&1
-  echo "exit $?" >> "$LOG"
-  grep -E '^[0-9]+ instance|^warp instructions|^sectors|^barriers' \
-    "$OUT/$1.out" >> "$LOG"
+  cat "$OUT/$1.plain.counters" >> "$LOG"
+  if ! cmp -s "$OUT/$1.plain.counters" "$OUT/$1.profile.counters"; then
+    echo "work-gate: $1 counted different work under --profile"
+    diff -u "$OUT/$1.plain.counters" "$OUT/$1.profile.counters"
+    status=1
+  fi
 }
 run xs-fig6a xsbench 32 off
 run amg-fig6b amgmk 1024 off
@@ -44,4 +57,5 @@ if ! cmp -s "$LOG" "$GOLDEN"; then
   diff -u "$GOLDEN" "$LOG"
   exit 1
 fi
+[ "$status" -eq 0 ] || exit 1
 echo "work-gate: ok"
